@@ -611,6 +611,53 @@ func BenchmarkSegmentMerge(b *testing.B) {
 	b.ReportMetric(rewritten/float64(b.N), "segments_rewritten/op")
 }
 
+// BenchmarkExtStoreAddBatch measures the server's ingest path: one
+// 300-record OMIM release, already parsed, through ExtStore.AddBatch
+// (validation, the tree-driven decompose, run forming, merge and the
+// group commit) onto a fresh copy of a 3-release archive.
+func BenchmarkExtStoreAddBatch(b *testing.B) {
+	g := datagen.NewOMIM(datagen.OMIMConfig{Seed: 85, Records: 300,
+		DeleteFrac: 0.002, InsertFrac: 0.01, ModifyFrac: 0.01})
+	opts := []Option{WithMemoryBudget(1 << 20)}
+	base := b.TempDir()
+	s, err := OpenStore(base, datagen.OMIMSpec(), opts...)
+	if err != nil {
+		b.Fatal(err)
+	}
+	for i := 0; i < 3; i++ {
+		if err := s.Add(g.Next()); err != nil {
+			b.Fatal(err)
+		}
+	}
+	if err := s.Close(); err != nil {
+		b.Fatal(err)
+	}
+	next := g.Next()
+	b.SetBytes(int64(len(next.XML())))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		dir := b.TempDir()
+		copyFlatDir(b, base, dir)
+		s, err := OpenStore(dir, datagen.OMIMSpec(), opts...)
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.StartTimer()
+		res, err := s.AddBatch([]*Document{next})
+		if err != nil {
+			b.Fatal(err)
+		}
+		if res[0].Err != nil {
+			b.Fatal(res[0].Err)
+		}
+		b.StopTimer()
+		s.Close()
+		b.StartTimer()
+	}
+}
+
 // BenchmarkFingerprintMerge compares merge cost with FNV fingerprints
 // against MD5 (§4.3: fingerprint choice affects speed only).
 func BenchmarkFingerprintMerge(b *testing.B) {

@@ -85,6 +85,12 @@ func (s *ExtStore) Add(doc *Document) error {
 // Readers never observe a partially applied batch: until the single
 // commit lands, every query still answers from the previous generation.
 //
+// The documents are decomposed by walking their trees (the tree front
+// end of the §6 decomposer): they are never serialized and re-parsed, so
+// the archive holds exactly the tree given, as the in-memory engine
+// would, and a parsed document archives the same bytes as AddReader's
+// stream front end over its XML.
+//
 // Per-document failures (key violations with validation on, pipeline
 // errors) land in the matching AddResult; the document consumes no
 // version number and the rest of the batch still commits. A non-nil
@@ -99,41 +105,25 @@ func (s *ExtStore) AddBatch(docs []*Document) ([]AddResult, error) {
 	}
 	out := make([]AddResult, len(docs))
 	// Validate up front so invalid documents never enter the pipeline;
-	// idx maps the surviving readers back to their document slots.
-	readers := make([]io.Reader, 0, len(docs))
+	// idx maps the surviving documents back to their slots. A nil
+	// document is an empty version.
+	valid := make([]*Document, 0, len(docs))
 	idx := make([]int, 0, len(docs))
-	var pipes []*io.PipeReader
 	for k, doc := range docs {
-		if doc == nil {
-			readers = append(readers, nil) // empty version
-			idx = append(idx, k)
-			continue
-		}
-		if s.cfg.validation {
+		if doc != nil && s.cfg.validation {
 			if err := s.ar.Spec().CheckDocumentErr(doc); err != nil {
 				out[k].Err = err
 				continue
 			}
 		}
-		// Serialize through a pipe so the pipeline never holds a second
-		// full copy of the document as one contiguous string.
-		pr, pw := io.Pipe()
-		doc := doc
-		go func() {
-			pw.CloseWithError(doc.Write(pw, xmltree.WriteOptions{}))
-		}()
-		readers = append(readers, pr)
+		valid = append(valid, doc)
 		idx = append(idx, k)
-		pipes = append(pipes, pr)
 	}
-	if len(readers) == 0 {
+	if len(valid) == 0 {
 		return out, nil
 	}
 	s.view = nil
-	items, err := s.ar.AddVersionBatch(readers)
-	for _, pr := range pipes {
-		pr.Close() // unblock any writer whose document stopped early
-	}
+	items, err := s.ar.AddTreeBatch(valid)
 	if err != nil {
 		return out, err
 	}
@@ -154,10 +144,13 @@ func (s *ExtStore) CommitCount() int64 {
 // AddReader archives the XML document read from r as the next version.
 // With validation on (the default) the document is parsed and checked
 // against the key specification first, exactly like the in-memory
-// engine. Construct the store with WithValidation(false) to stream the
-// document through decompose, external sort and merge without ever
-// holding it in memory as a tree; key violations then surface as
-// decompose or merge errors rather than a full validation report.
+// engine, and then archived through Add's tree front end. Construct
+// the store with WithValidation(false) to use the stream front end
+// instead: the decomposer reads the XML tokens directly and the document
+// goes through decompose, external sort and merge without ever being
+// held in memory as a tree; key violations then surface as decompose or
+// merge errors rather than a full validation report. Both front ends
+// archive a parsed document to the same bytes.
 func (s *ExtStore) AddReader(r io.Reader) error {
 	if s.cfg.validation {
 		doc, err := xmltree.Parse(r)

@@ -15,6 +15,7 @@ import (
 	"xarch/internal/fsio"
 	"xarch/internal/intervals"
 	"xarch/internal/keys"
+	"xarch/internal/xmltree"
 )
 
 // Archiver is the external-memory archiver of §6: it maintains an archive
@@ -666,55 +667,71 @@ func (ar *Archiver) AddEmptyVersion() error { return ar.AddVersion(nil) }
 // AddVersion archives the XML document read from r as the next version,
 // running the §6 phases: decompose, external sort, and a segment-local
 // streaming merge that rewrites only the segments whose key ranges the
-// version touches. A failed fsync or rename in the commit protocol
-// poisons the writer: the error satisfies errors.Is(err, ErrDegraded),
-// every later write fails fast, and readers keep serving the last
-// committed generation (see degrade.go).
+// version touches. The document is decomposed straight from the XML
+// stream (the decomposer's stream front end), so it never has to fit in
+// memory; a nil reader archives an empty version. A failed fsync or
+// rename in the commit protocol poisons the writer: the error satisfies
+// errors.Is(err, ErrDegraded), every later write fails fast, and readers
+// keep serving the last committed generation (see degrade.go).
 func (ar *Archiver) AddVersion(r io.Reader) error {
-	items, err := ar.AddVersionBatch([]io.Reader{r})
+	var src source
+	if r != nil {
+		src = func(d *decomposer) error { return d.decodeXML(r) }
+	}
+	items, err := ar.addBatch([]source{src})
 	if err != nil {
 		return err
 	}
 	return items[0].Err
 }
 
-// BatchItem reports the outcome of one document of an AddVersionBatch
+// BatchItem reports the outcome of one document of an AddTreeBatch
 // call: the version number it landed in, or its own failure.
 type BatchItem struct {
 	// Version is the version number assigned to the document; valid only
 	// when Err is nil and the batch call itself returned no error.
 	Version int
-	// Err is the document's own failure (a parse, decompose or merge
+	// Err is the document's own failure (a decompose, sort or merge
 	// error). A document that fails is skipped — it consumes no version
 	// number — and the rest of the batch still commits.
 	Err error
 }
 
-// AddVersionBatch archives each reader as the next consecutive version
-// with ONE durability commit for the whole group: every document runs
-// the full decompose/sort/merge pipeline, each merging against the
+// AddTreeBatch archives each parsed document as the next consecutive
+// version with ONE durability commit for the whole group: every document
+// runs the full decompose/sort/merge pipeline, each merging against the
 // uncommitted directory of its predecessor, and only the final directory
 // goes through the tmp+fsync+rename commit protocol — the group-commit
-// amortization behind the archive server's ingest path. A nil reader
+// amortization behind the archive server's ingest path. A nil document
 // archives an empty version.
 //
-// The returned slice has one BatchItem per reader: a document whose own
-// pipeline fails gets its error there, consumes no version number, and
-// does not disturb the rest of the batch. A non-nil error return means
-// the batch as a whole failed — NOTHING was committed (the archive is
-// unchanged, every per-item Version is void) and, when the failure was a
-// durability-critical commit step, the writer is now poisoned
+// Each tree is decomposed by walking it (the decomposer's tree front end),
+// with no serialize/re-parse round trip, so the archived version is
+// exactly the tree given, text included verbatim. For a document
+// produced by xmltree.Parse the archive bytes equal those AddVersion
+// writes for the same XML.
+//
+// The returned slice has one BatchItem per document: a document whose
+// own pipeline fails gets its error there, consumes no version number,
+// and does not disturb the rest of the batch. A non-nil error return
+// means the batch as a whole failed — NOTHING was committed (the archive
+// is unchanged, every per-item Version is void) and, when the failure was
+// a durability-critical commit step, the writer is now poisoned
 // (errors.Is(err, ErrDegraded)). Until the final commit succeeds no
 // reader observes any of the batch's versions.
-func (ar *Archiver) AddVersionBatch(readers []io.Reader) ([]BatchItem, error) {
-	if err := ar.writable(); err != nil {
-		return nil, err
+func (ar *Archiver) AddTreeBatch(docs []*xmltree.Node) ([]BatchItem, error) {
+	srcs := make([]source, len(docs))
+	for i, doc := range docs {
+		if doc != nil {
+			srcs[i] = func(d *decomposer) error { return d.walkTree(doc) }
+		}
 	}
-	if len(readers) == 0 {
-		return nil, nil
-	}
-	return ar.addBatch(readers)
+	return ar.addBatch(srcs)
 }
+
+// source feeds one version's document to the decomposer (one of its two
+// front ends); a nil source is an empty version.
+type source func(d *decomposer) error
 
 // CommitCount returns the number of durable key-directory commits
 // (tmp+fsync+rename protocol runs) since the archiver was opened,
@@ -722,8 +739,14 @@ func (ar *Archiver) AddVersionBatch(readers []io.Reader) ([]BatchItem, error) {
 // compare it against submitter counts.
 func (ar *Archiver) CommitCount() int64 { return ar.commits.Load() }
 
-func (ar *Archiver) addBatch(readers []io.Reader) ([]BatchItem, error) {
-	items := make([]BatchItem, len(readers))
+func (ar *Archiver) addBatch(srcs []source) ([]BatchItem, error) {
+	if err := ar.writable(); err != nil {
+		return nil, err
+	}
+	if len(srcs) == 0 {
+		return nil, nil
+	}
+	items := make([]BatchItem, len(srcs))
 	base := ar.curDir
 	staged := base
 	var stagedFiles []string // segments written by the batch, uncommitted
@@ -744,8 +767,8 @@ func (ar *Archiver) addBatch(readers []io.Reader) ([]BatchItem, error) {
 		var cf *commitFault
 		return errors.As(err, &cf)
 	}
-	for k, r := range readers {
-		sortedPath, scratch, err := ar.prepareSorted(r)
+	for k, src := range srcs {
+		sortedPath, scratch, err := ar.prepareSorted(src)
 		if err != nil {
 			removePaths(ar.fs, scratch)
 			items[k].Err = err
@@ -817,12 +840,12 @@ func removePaths(fs fsio.FS, paths []string) {
 // decompose, sharded run forming, run merge — and returns the path of
 // the sorted version file plus every scratch file created (sortedPath
 // included). The caller removes the scratch files when done with them;
-// a nil reader produces an empty sorted file (an empty version).
-func (ar *Archiver) prepareSorted(r io.Reader) (sortedPath string, scratch []string, err error) {
+// a nil source produces an empty sorted file (an empty version).
+func (ar *Archiver) prepareSorted(src source) (sortedPath string, scratch []string, err error) {
 	tmp := func(name string) string { return filepath.Join(ar.dir, fmt.Sprintf("tmp-%s", name)) }
 
 	sortedPath = tmp("sorted.tok")
-	if r != nil {
+	if src != nil {
 		// Phases 1+2, pipelined: decompose streams the version into the
 		// token file and the per-pattern key files while workers follow
 		// those files and form the bounded-memory sorted runs, so run
@@ -846,7 +869,7 @@ func (ar *Archiver) prepareSorted(r io.Reader) (sortedPath string, scratch []str
 		}
 		keyFiles := map[string]*keyFile{}
 		for _, k := range ar.spec.AllKeys() {
-			pattern := k.NodePath().Absolute()
+			pattern := k.Pattern()
 			if _, ok := keyFiles[pattern]; ok {
 				continue
 			}
@@ -930,7 +953,7 @@ func (ar *Archiver) prepareSorted(r io.Reader) (sortedPath string, scratch []str
 			}
 			return nil
 		}
-		_, derr := decompose(r, ar.spec, ar.dict, tw, keyWriter, syncWriters)
+		derr := src(newDecomposer(ar.spec, ar.dict, tw, keyWriter, syncWriters))
 		if derr == nil {
 			derr = syncWriters()
 		}

@@ -6,6 +6,7 @@ import (
 	"encoding/xml"
 	"fmt"
 	"io"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -146,8 +147,13 @@ type pendingKey struct {
 // its sync hook, publishing buffered bytes to the concurrent run former.
 const decomposeBatch = 4096
 
-// decomposer streams one XML document into the internal representation
-// plus key files (§6.1), running the stack algorithm of §4.1.
+// decomposer turns one document into the internal representation plus
+// key files (§6.1), running the stack algorithm of §4.1. It is a state
+// machine over start/text/end events with two front ends: decodeXML
+// feeds it from an XML stream (documents larger than memory), walkTree
+// from an already parsed *xmltree.Node. decodeXML names nodes and
+// coalesces text exactly as xmltree.Parse does, so a parsed document
+// decomposes to the same bytes through either.
 type decomposer struct {
 	spec *keys.Spec
 	dict *dictionary
@@ -160,21 +166,17 @@ type decomposer struct {
 	path     []string
 	pendings []*pendingKey
 	memos    []*memo
+	attrs    [][2]string // front ends' reusable attribute buffer
 	textBuf  strings.Builder
 	depth    int
+	frontier int // depth of the open frontier node, 0 above the frontier
 
-	nodesSeen int
 	sinceSync int
 }
 
-// decompose streams the XML document from r, writing the token stream to
-// tokens and composite key values to per-pattern key files obtained from
-// keyFile. Every decomposeBatch elements it calls sync (if non-nil) so a
-// concurrent consumer sees the buffered bytes. It returns the node count.
-func decompose(r io.Reader, spec *keys.Spec, dict *dictionary, tokens *tokenWriter,
-	keyFile func(pattern string) (*tokenWriter, error), sync func() error) (int, error) {
-
-	d := &decomposer{
+func newDecomposer(spec *keys.Spec, dict *dictionary, tokens *tokenWriter,
+	keyFile func(pattern string) (*tokenWriter, error), sync func() error) *decomposer {
+	return &decomposer{
 		spec:    spec,
 		dict:    dict,
 		tokens:  tokens,
@@ -182,6 +184,12 @@ func decompose(r io.Reader, spec *keys.Spec, dict *dictionary, tokens *tokenWrit
 		keyFile: keyFile,
 		sync:    sync,
 	}
+}
+
+// decodeXML is the stream front end: it decomposes the XML document read
+// from r without ever holding it as a tree. Character data is coalesced
+// and whitespace-only text dropped exactly as xmltree.Parse does.
+func (d *decomposer) decodeXML(r io.Reader) error {
 	dec := xml.NewDecoder(r)
 	for {
 		tok, err := dec.Token()
@@ -189,32 +197,82 @@ func decompose(r io.Reader, spec *keys.Spec, dict *dictionary, tokens *tokenWrit
 			break
 		}
 		if err != nil {
-			return 0, fmt.Errorf("extmem: parse: %w", err)
+			return fmt.Errorf("extmem: parse: %w", err)
 		}
 		switch t := tok.(type) {
 		case xml.StartElement:
-			if err := d.start(t); err != nil {
-				return 0, err
+			d.flushText()
+			attrs := d.attrs[:0]
+			for _, a := range t.Attr {
+				an := xmltree.QName(a.Name)
+				if an == "xmlns" || strings.HasPrefix(an, "xmlns:") {
+					continue
+				}
+				attrs = append(attrs, [2]string{an, a.Value})
+			}
+			d.attrs = attrs
+			if err := d.start(xmltree.QName(t.Name), attrs); err != nil {
+				return err
 			}
 		case xml.EndElement:
+			d.flushText()
 			if err := d.end(); err != nil {
-				return 0, err
+				return err
 			}
 		case xml.CharData:
 			d.textBuf.Write(t)
 		}
 	}
 	if d.depth != 0 {
-		return 0, fmt.Errorf("extmem: unbalanced document")
+		return fmt.Errorf("extmem: unbalanced document")
 	}
-	for pattern, kw := range d.keyOut {
-		if err := kw.flush(); err != nil {
-			return 0, fmt.Errorf("extmem: flush key file %s: %w", pattern, err)
-		}
-	}
-	return d.nodesSeen, nil
+	return d.finish()
 }
 
+// walkTree is the tree front end: it decomposes the document rooted at root
+// exactly as the in-memory engine sees it — every text child is one text
+// node, verbatim, with no XML round trip in between.
+func (d *decomposer) walkTree(root *xmltree.Node) error {
+	if err := d.walkElem(root); err != nil {
+		return err
+	}
+	return d.finish()
+}
+
+func (d *decomposer) walkElem(n *xmltree.Node) error {
+	attrs := d.attrs[:0]
+	for _, a := range n.Attrs {
+		attrs = append(attrs, [2]string{a.Name, a.Data})
+	}
+	d.attrs = attrs
+	if err := d.start(n.Name, attrs); err != nil {
+		return err
+	}
+	for _, c := range n.Children {
+		switch c.Kind {
+		case xmltree.Text:
+			d.text(c.Data)
+		case xmltree.Element:
+			if err := d.walkElem(c); err != nil {
+				return err
+			}
+		}
+	}
+	return d.end()
+}
+
+// finish flushes every key file the document wrote to.
+func (d *decomposer) finish() error {
+	for pattern, kw := range d.keyOut {
+		if err := kw.flush(); err != nil {
+			return fmt.Errorf("extmem: flush key file %s: %w", pattern, err)
+		}
+	}
+	return nil
+}
+
+// flushText hands the stream front end's coalesced character data to
+// text, dropping whitespace-only runs as xmltree.Parse does.
 func (d *decomposer) flushText() {
 	if d.textBuf.Len() == 0 {
 		return
@@ -224,8 +282,17 @@ func (d *decomposer) flushText() {
 	if strings.TrimSpace(s) == "" {
 		return
 	}
+	d.text(s)
+}
+
+// text emits one text node. Whitespace-only text above the frontier is
+// not part of the model (the in-memory annotator skips it too); below the
+// frontier content is kept verbatim.
+func (d *decomposer) text(s string) {
+	if d.frontier == 0 && strings.TrimSpace(s) == "" {
+		return
+	}
 	d.tokens.text(s)
-	d.nodesSeen++
 	for _, m := range d.memos {
 		m.b.WriteString("t(")
 		xmltree.EscapeCanonical(&m.b, s)
@@ -233,12 +300,11 @@ func (d *decomposer) flushText() {
 	}
 }
 
-func (d *decomposer) start(t xml.StartElement) error {
-	d.flushText()
-	name := localName(t.Name)
+// start opens element name with the given attributes. attrs is sorted in
+// place and not retained.
+func (d *decomposer) start(name string, attrs [][2]string) error {
 	d.path = append(d.path, name)
 	d.depth++
-	d.nodesSeen++
 	if d.sync != nil {
 		if d.sinceSync++; d.sinceSync >= decomposeBatch {
 			d.sinceSync = 0
@@ -249,19 +315,11 @@ func (d *decomposer) start(t xml.StartElement) error {
 	}
 
 	// Sorted attributes (canonical order).
-	attrs := make([][2]string, 0, len(t.Attr))
-	for _, a := range t.Attr {
-		an := localName(a.Name)
-		if an == "xmlns" || strings.HasPrefix(an, "xmlns:") {
-			continue
+	slices.SortFunc(attrs, func(a, b [2]string) int {
+		if c := strings.Compare(a[0], b[0]); c != 0 {
+			return c
 		}
-		attrs = append(attrs, [2]string{an, a.Value})
-	}
-	sort.Slice(attrs, func(i, j int) bool {
-		if attrs[i][0] != attrs[j][0] {
-			return attrs[i][0] < attrs[j][0]
-		}
-		return attrs[i][1] < attrs[j][1]
+		return strings.Compare(a[1], b[1])
 	})
 
 	// Key-path values of enclosing keyed nodes that begin at this element
@@ -286,8 +344,13 @@ func (d *decomposer) start(t xml.StartElement) error {
 
 	// A keyed element opens its own pending record; an empty key path
 	// ({\e}) memorizes the node's whole value, and single-segment key
-	// paths may fill from the node's own attributes.
-	if k := d.spec.KeyFor(keys.Path(d.path)); k != nil {
+	// paths may fill from the node's own attributes. Nothing below the
+	// frontier is keyed.
+	var k *keys.Key
+	if d.frontier == 0 {
+		k = d.spec.KeyFor(keys.Path(d.path))
+	}
+	if k != nil {
 		p := &pendingKey{
 			key:    k,
 			depth:  d.depth,
@@ -305,6 +368,9 @@ func (d *decomposer) start(t xml.StartElement) error {
 					return fmt.Errorf("extmem: %s: %w", pathString(d.path), err)
 				}
 			}
+		}
+		if d.spec.IsFrontier(keys.Path(d.path)) {
+			d.frontier = d.depth
 		}
 	}
 
@@ -325,14 +391,11 @@ func (d *decomposer) start(t xml.StartElement) error {
 	d.tokens.open(d.dict.id(name), nil, "")
 	for _, a := range attrs {
 		d.tokens.attr(d.dict.id(a[0]), a[1])
-		d.nodesSeen++
 	}
 	return nil
 }
 
 func (d *decomposer) end() error {
-	d.flushText()
-
 	// Close canonical fragments; finish memorizations that began here.
 	remaining := d.memos[:0]
 	for _, m := range d.memos {
@@ -358,7 +421,7 @@ func (d *decomposer) end() error {
 					pathString(d.path), kp, p.key)
 			}
 		}
-		pattern := p.key.NodePath().Absolute()
+		pattern := p.key.Pattern()
 		kw, ok := d.keyOut[pattern]
 		if !ok {
 			var err error
@@ -372,6 +435,9 @@ func (d *decomposer) end() error {
 	}
 
 	d.tokens.close()
+	if d.frontier == d.depth {
+		d.frontier = 0
+	}
 	d.path = d.path[:len(d.path)-1]
 	d.depth--
 	return nil
@@ -476,13 +542,6 @@ func fillFromAttrs(p *pendingKey, pi int, seg string, attrs [][2]string) error {
 		}
 	}
 	return nil
-}
-
-func localName(n xml.Name) string {
-	if n.Space == "" || strings.ContainsAny(n.Space, ":/") {
-		return n.Local
-	}
-	return n.Space + ":" + n.Local
 }
 
 func pathString(p []string) string { return "/" + strings.Join(p, "/") }

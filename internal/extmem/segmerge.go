@@ -115,7 +115,7 @@ func mergedTimeTok(at token, parentEff *intervals.Set, i int) (*intervals.Set, s
 
 // mergeIntoSegments merges the sorted version in sortedPath as version i
 // against the base directory — usually the committed ar.curDir, but a
-// group commit (AddVersionBatch) chains the uncommitted directory of the
+// group commit (AddTreeBatch) chains the uncommitted directory of the
 // previous batch member through here. It returns the fresh directory,
 // the merge stats and the list of segment files created (for cleanup if
 // the commit fails).

@@ -182,9 +182,9 @@ func (d *shardDispatcher) run(tr *tokenReader, ws []*shardWorker, failed *atomic
 				if k == nil {
 					return fmt.Errorf("extmem: unkeyed element %s above the frontier", pathString(d.path))
 				}
-				rec, err := d.nextKey(k.NodePath().Absolute())
+				rec, err := d.nextKey(k.Pattern())
 				if err != nil {
-					return fmt.Errorf("extmem: key file for %s: %w", k.NodePath().Absolute(), err)
+					return fmt.Errorf("extmem: key file for %s: %w", k.Pattern(), err)
 				}
 				t.key = rec
 			}

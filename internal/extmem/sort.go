@@ -143,9 +143,9 @@ func (rf *runFormer) feed(t token) error {
 			if k == nil {
 				return fmt.Errorf("extmem: unkeyed element %s above the frontier", pathString(rf.path))
 			}
-			rec, err := rf.nextKey(k.NodePath().Absolute())
+			rec, err := rf.nextKey(k.Pattern())
 			if err != nil {
-				return fmt.Errorf("extmem: key file for %s: %w", k.NodePath().Absolute(), err)
+				return fmt.Errorf("extmem: key file for %s: %w", k.Pattern(), err)
 			}
 			n.key = rec
 		}

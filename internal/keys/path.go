@@ -88,12 +88,13 @@ func segCompatible(a, b string) bool {
 }
 
 // Matches reports whether the (possibly wildcarded) pattern p matches the
-// concrete path q exactly.
+// concrete path q exactly. It compares the last segments first: patterns
+// of one length mostly share their prefix, so that is where they differ.
 func (p Path) Matches(q Path) bool {
 	if len(p) != len(q) {
 		return false
 	}
-	for i := range p {
+	for i := len(p) - 1; i >= 0; i-- {
 		if !segMatch(p[i], q[i]) {
 			return false
 		}

@@ -23,10 +23,37 @@ type Key struct {
 	// (Q, (Q', {P1..Pk})) with non-empty Pi, the key (Q/Q', (Pi, {})) is
 	// implied (§3) and always assumed part of the specification.
 	Implied bool
+
+	// nodePath and pattern cache Context/Target and its absolute
+	// rendering; Spec.Normalize fills them so lookups never allocate.
+	nodePath Path
+	pattern  string
 }
 
-// NodePath returns Context/Target, the keyed path this key defines.
-func (k *Key) NodePath() Path { return k.Context.Concat(k.Target) }
+// compile caches the key's node path and pattern string.
+func (k *Key) compile() {
+	k.nodePath = k.Context.Concat(k.Target)
+	k.pattern = k.nodePath.Absolute()
+}
+
+// NodePath returns Context/Target, the keyed path this key defines. For a
+// key of a normalized Spec the path is computed once and shared: callers
+// must not modify it.
+func (k *Key) NodePath() Path {
+	if k.nodePath != nil {
+		return k.nodePath
+	}
+	return k.Context.Concat(k.Target)
+}
+
+// Pattern returns NodePath rendered as an absolute path pattern
+// ("/ROOT/Record"), computed once for a key of a normalized Spec.
+func (k *Key) Pattern() string {
+	if k.nodePath != nil {
+		return k.pattern
+	}
+	return k.NodePath().Absolute()
+}
 
 // String renders the key in the Appendix B syntax.
 func (k *Key) String() string {
@@ -153,7 +180,8 @@ func (s *Spec) Normalize() error {
 	all := make([]*Key, 0, len(s.Keys)*2)
 	seen := map[string]*Key{}
 	add := func(k *Key) {
-		id := k.NodePath().Absolute()
+		k.compile()
+		id := k.pattern
 		if prev, ok := seen[id]; ok {
 			// Duplicate keyed path: identical key-path sets are a benign
 			// repetition; keep the explicit (non-implied) one.
@@ -181,11 +209,11 @@ func (s *Spec) Normalize() error {
 	}
 	// Deterministic order: shallower paths first, then lexicographic.
 	sort.SliceStable(all, func(i, j int) bool {
-		a, b := all[i].NodePath(), all[j].NodePath()
-		if len(a) != len(b) {
-			return len(a) < len(b)
+		a, b := all[i], all[j]
+		if len(a.nodePath) != len(b.nodePath) {
+			return len(a.nodePath) < len(b.nodePath)
 		}
-		return a.Absolute() < b.Absolute()
+		return a.pattern < b.pattern
 	})
 	s.keyed = all
 
@@ -271,7 +299,7 @@ func (s *Spec) AllKeys() []*Key {
 func (s *Spec) KeyFor(concrete Path) *Key {
 	s.ensureNormalized()
 	for _, k := range s.keyed {
-		if k.NodePath().Matches(concrete) {
+		if k.nodePath.Matches(concrete) {
 			return k
 		}
 	}

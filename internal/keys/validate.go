@@ -63,7 +63,9 @@ func (e *ViolationsError) Unwrap() []error {
 func (s *Spec) CheckDocument(doc *xmltree.Node) []*ValidationError {
 	s.ensureNormalized()
 	var errs []*ValidationError
-	s.checkNode(doc, Path{doc.Name}, &errs)
+	path := make(Path, 1, 16)
+	path[0] = doc.Name
+	s.checkNode(doc, path, &errs)
 	return errs
 }
 
@@ -76,6 +78,9 @@ func (s *Spec) CheckDocumentErr(doc *xmltree.Node) error {
 	return nil
 }
 
+// checkNode validates the subtree of n at concrete path p. Children extend
+// p in place (append into its spare capacity), so p is only read during
+// the call and never retained.
 func (s *Spec) checkNode(n *xmltree.Node, p Path, errs *[]*ValidationError) {
 	// Coverage of this node.
 	if !s.IsKeyed(p) {
@@ -88,7 +93,7 @@ func (s *Spec) checkNode(n *xmltree.Node, p Path, errs *[]*ValidationError) {
 
 	// Uniqueness and existence for every key whose context is this node.
 	for _, k := range s.keyed {
-		if !k.NodePath().Matches(p) {
+		if !k.nodePath.Matches(p) {
 			continue
 		}
 		// This node is a target of key k; check its key paths resolve
@@ -97,11 +102,10 @@ func (s *Spec) checkNode(n *xmltree.Node, p Path, errs *[]*ValidationError) {
 			if len(kp) == 0 {
 				continue
 			}
-			vals := kp.Resolve(n)
-			if len(vals) != 1 {
+			if _, found := kp.ResolveUnique(n); found != 1 {
 				*errs = append(*errs, &ValidationError{
 					Path: p.Absolute(), Key: k.String(),
-					Msg: fmt.Sprintf("key path %s resolves to %d nodes, want 1", kp, len(vals)),
+					Msg: fmt.Sprintf("key path %s resolves to %d nodes, want 1", kp, len(kp.Resolve(n))),
 				})
 			}
 		}
@@ -111,7 +115,10 @@ func (s *Spec) checkNode(n *xmltree.Node, p Path, errs *[]*ValidationError) {
 			continue
 		}
 		targets := k.Target.Resolve(n)
-		seen := map[string]bool{}
+		if len(targets) < 2 {
+			continue // nothing to collide with
+		}
+		seen := make(map[string]bool, len(targets))
 		for _, t := range targets {
 			tuple, ok := keyTuple(t, k)
 			if !ok {
@@ -134,7 +141,7 @@ func (s *Spec) checkNode(n *xmltree.Node, p Path, errs *[]*ValidationError) {
 	// Above the frontier: attributes must be keyed paths, text must not
 	// appear, element children must be keyed (checked recursively).
 	for _, a := range n.Attrs {
-		ap := append(append(Path{}, p...), a.Name)
+		ap := append(p, a.Name)
 		if !s.IsKeyed(ap) {
 			*errs = append(*errs, &ValidationError{
 				Path: ap.Absolute(),
@@ -150,8 +157,7 @@ func (s *Spec) checkNode(n *xmltree.Node, p Path, errs *[]*ValidationError) {
 				Msg:  "text content above the frontier",
 			})
 		case xmltree.Element:
-			cp := append(append(Path{}, p...), c.Name)
-			s.checkNode(c, cp, errs)
+			s.checkNode(c, append(p, c.Name), errs)
 		}
 	}
 }
@@ -164,11 +170,11 @@ func keyTuple(t *xmltree.Node, k *Key) (string, bool) {
 	}
 	out := ""
 	for _, kp := range k.KeyPaths {
-		vals := kp.Resolve(t)
-		if len(vals) != 1 {
+		v, found := kp.ResolveUnique(t)
+		if found != 1 {
 			return "", false
 		}
-		out += "|" + xmltree.Canonical(vals[0])
+		out += "|" + xmltree.Canonical(v)
 	}
 	return out, true
 }

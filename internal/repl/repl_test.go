@@ -350,6 +350,11 @@ func TestPushFaultMatrix(t *testing.T) {
 			if !ft.Crashed() {
 				t.Fatalf("%s: kill point never hit; matrix does not cover the push", label)
 			}
+			// The kill is client-side: the replica may still be running
+			// the dead request's handler. Close waits for it, as a
+			// replica process would finish or die before anyone
+			// inspects its directory.
+			ts.Close()
 			if v := assertRecovered(t, label, dir, 2, 3, wantPre, wantPost); v == 3 {
 				recoveredPost++
 			}

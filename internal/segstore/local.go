@@ -9,6 +9,7 @@ import (
 	iofs "io/fs"
 	"path/filepath"
 	"strings"
+	"sync"
 
 	"xarch/internal/extmem"
 	"xarch/internal/fsio"
@@ -21,6 +22,42 @@ import (
 type Local struct {
 	fs  fsio.FS
 	dir string
+
+	// names serializes writers of one staging path: a Put abandoned by
+	// a dead client may still be staging name+".part" when a resumed
+	// transfer of the same name arrives, and without the lock the two
+	// would truncate, remove or rename each other's staging file.
+	mu    sync.Mutex
+	names map[string]*nameLock
+}
+
+type nameLock struct {
+	sync.Mutex
+	refs int
+}
+
+// lockName takes the per-name writer lock and returns its release.
+func (l *Local) lockName(name string) func() {
+	l.mu.Lock()
+	if l.names == nil {
+		l.names = map[string]*nameLock{}
+	}
+	nl := l.names[name]
+	if nl == nil {
+		nl = &nameLock{}
+		l.names[name] = nl
+	}
+	nl.refs++
+	l.mu.Unlock()
+	nl.Lock()
+	return func() {
+		nl.Unlock()
+		l.mu.Lock()
+		if nl.refs--; nl.refs == 0 {
+			delete(l.names, name)
+		}
+		l.mu.Unlock()
+	}
 }
 
 // NewLocal returns a Store over dir (created if missing); a nil fs
@@ -71,12 +108,15 @@ func (p *payloadCRC) mismatch(name string) error {
 // failed or mismatched transfer removes the staging file and returns a
 // transient error (source hiccups re-stream on retry); a crash leaves
 // the ".part" for the engine's open-time sweep or a resumed sync.
+// Concurrent Puts of one name run one after another, and a Put whose
+// ctx ends mid-stream abandons its staging file.
 func (l *Local) Put(ctx context.Context, name string, c Check, open func() (io.ReadCloser, error)) error {
-	if err := ctx.Err(); err != nil {
-		return err
-	}
 	if !ValidBlobName(name) {
 		return fmt.Errorf("segstore: invalid blob name %q", name)
+	}
+	defer l.lockName(name)()
+	if err := ctx.Err(); err != nil {
+		return err
 	}
 	rc, err := open()
 	if err != nil {
@@ -100,6 +140,9 @@ func (l *Local) Put(ctx context.Context, name string, c Check, open func() (io.R
 	// failure (disk trouble — permanent).
 	buf := make([]byte, 128<<10)
 	for {
+		if err := ctx.Err(); err != nil {
+			return fail(err)
+		}
 		n, rerr := rc.Read(buf)
 		if n > 0 {
 			if _, werr := f.Write(buf[:n]); werr != nil {
@@ -267,6 +310,12 @@ func (l *Local) CommitKeydir(ctx context.Context, b *Bundle) error {
 	}
 	if b == nil || len(b.Keydir) == 0 {
 		return fmt.Errorf("segstore: refusing to commit an empty key directory")
+	}
+	// One commit at a time: each state file is staged at a fixed
+	// sibling ".tmp" path.
+	defer l.lockName(extmem.KeydirFileName)()
+	if err := ctx.Err(); err != nil {
+		return err
 	}
 	if err := l.writeAtomic(extmem.DictFileName, b.Dict); err != nil {
 		return err

@@ -132,6 +132,118 @@ type errReader struct{ err error }
 
 func (r *errReader) Read([]byte) (int, error) { return 0, r.err }
 
+// hookReader is an empty stream that runs hook on its first read and
+// ends with the hook's error; inside an io.MultiReader it pauses a
+// blob's transfer at a chosen offset.
+type hookReader struct {
+	hook func() error
+	err  error
+	done bool
+}
+
+func (r *hookReader) Read([]byte) (int, error) {
+	if !r.done {
+		r.done = true
+		r.err = r.hook()
+	}
+	return 0, r.err
+}
+
+// TestLocalPutCancelAbandonsStaging: a Put whose context ends mid-stream
+// (the uploading client went away) stops staging, removes its ".part"
+// and installs nothing, even if the rest of the body is readable.
+func TestLocalPutCancelAbandonsStaging(t *testing.T) {
+	dir := t.TempDir()
+	l, err := NewLocal(nil, dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	blob, c := testBlob(8, bytes.Repeat([]byte("x"), 4096))
+	cctx, cancel := context.WithCancel(ctx)
+	defer cancel()
+	err = l.Put(cctx, "seg-00000001.tok", c, func() (io.ReadCloser, error) {
+		return io.NopCloser(io.MultiReader(
+			bytes.NewReader(blob[:len(blob)/2]),
+			&hookReader{hook: func() error { cancel(); return io.EOF }},
+			bytes.NewReader(blob[len(blob)/2:]),
+		)), nil
+	})
+	if !errors.Is(err, context.Canceled) {
+		t.Fatalf("put under a cancelled context = %v, want context.Canceled", err)
+	}
+	ents, _ := os.ReadDir(dir)
+	for _, e := range ents {
+		t.Errorf("abandoned put left %s behind", e.Name())
+	}
+}
+
+// TestLocalPutSerializesSameName: after a network kill the replica may
+// still be running the dead request's Put when the resumed push sends
+// the same blob again. The resumed Put must not start staging until the
+// dead one is finished, or the dead one's cleanup removes the live
+// staging file and the install fails.
+func TestLocalPutSerializesSameName(t *testing.T) {
+	dir := t.TempDir()
+	l, err := NewLocal(nil, dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const name = "seg-00000001.tok"
+	blob, c := testBlob(8, bytes.Repeat([]byte("y"), 4096))
+	half := len(blob) / 2
+	boom := errors.New("client went away")
+
+	// The dead request: half its body staged, then stuck until released.
+	deadStaging, deadRelease := make(chan struct{}), make(chan struct{})
+	deadDone := make(chan error, 1)
+	go func() {
+		deadDone <- l.Put(ctx, name, c, func() (io.ReadCloser, error) {
+			return io.NopCloser(io.MultiReader(
+				bytes.NewReader(blob[:half]),
+				&hookReader{hook: func() error { close(deadStaging); <-deadRelease; return boom }},
+			)), nil
+		})
+	}()
+	<-deadStaging
+
+	// The resumed request: stages its first half, then holds until the
+	// dead request has finished its cleanup.
+	liveStaging, deadFinished := make(chan struct{}), make(chan struct{})
+	liveDone := make(chan error, 1)
+	go func() {
+		liveDone <- l.Put(ctx, name, c, func() (io.ReadCloser, error) {
+			return io.NopCloser(io.MultiReader(
+				bytes.NewReader(blob[:half]),
+				&hookReader{hook: func() error { close(liveStaging); <-deadFinished; return io.EOF }},
+				bytes.NewReader(blob[half:]),
+			)), nil
+		})
+	}()
+	select {
+	case <-liveStaging:
+		t.Error("resumed Put staged while the dead Put of the same blob was still staging")
+	case <-time.After(200 * time.Millisecond):
+	}
+	close(deadRelease)
+	if err := <-deadDone; !errors.Is(err, boom) {
+		t.Fatalf("dead put = %v, want its source error", err)
+	}
+	close(deadFinished)
+	if err := <-liveDone; err != nil {
+		t.Fatalf("resumed put: %v", err)
+	}
+	got, err := os.ReadFile(filepath.Join(dir, name))
+	if err != nil || !bytes.Equal(got, blob) {
+		t.Fatalf("installed blob = %d bytes, %v; want the %d put", len(got), err, len(blob))
+	}
+	ents, _ := os.ReadDir(dir)
+	for _, e := range ents {
+		if e.Name() != name {
+			t.Errorf("serialized puts left %s behind", e.Name())
+		}
+	}
+}
+
 // TestLocalCommitOrdering asserts the replica commit protocol on the
 // filesystem trace: dict and meta land before the keydir, and the
 // keydir's rename is the final mutating operation — the commit point.

@@ -44,9 +44,9 @@ func Parse(r io.Reader) (*Node, error) {
 		switch t := tok.(type) {
 		case xml.StartElement:
 			flushText()
-			n := &Node{Kind: Element, Name: qname(t.Name)}
+			n := &Node{Kind: Element, Name: QName(t.Name)}
 			for _, a := range t.Attr {
-				name := qname(a.Name)
+				name := QName(a.Name)
 				if name == "xmlns" || strings.HasPrefix(name, "xmlns:") {
 					continue
 				}
@@ -65,7 +65,7 @@ func Parse(r io.Reader) (*Node, error) {
 		case xml.EndElement:
 			flushText()
 			if len(stack) == 0 {
-				return nil, fmt.Errorf("xmltree: unbalanced end element %s", qname(t.Name))
+				return nil, fmt.Errorf("xmltree: unbalanced end element %s", QName(t.Name))
 			}
 			stack = stack[:len(stack)-1]
 		case xml.CharData:
@@ -96,11 +96,12 @@ func MustParseString(s string) *Node {
 	return n
 }
 
-func qname(n xml.Name) string {
-	// encoding/xml resolves prefixes to namespace URLs in Name.Space; for
-	// the archiver we only care about the local structure, and the T tag
-	// namespace (§2) is handled at the archive layer, so we use the local
-	// name, qualifying only true prefixes that did not resolve.
+// QName is the name the archiver gives an element or attribute read by
+// encoding/xml. The decoder resolves prefixes to namespace URLs in
+// Name.Space; only the local structure matters here, and the T tag
+// namespace (§2) is handled at the archive layer, so QName keeps the
+// local name, qualifying only true prefixes that did not resolve.
+func QName(n xml.Name) string {
 	if n.Space == "" {
 		return n.Local
 	}

@@ -1,12 +1,18 @@
 package xarch
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"io"
+	"os"
+	"path/filepath"
 	"strings"
 	"sync"
 	"testing"
+
+	"xarch/internal/datagen"
+	"xarch/internal/xmltree"
 )
 
 func mustSpec(t *testing.T) *KeySpec {
@@ -146,6 +152,186 @@ func TestEngineParity(t *testing.T) {
 	}
 	if msnap.String() != esnap.String() {
 		t.Errorf("snapshots differ across engines (%d vs %d bytes)", msnap.Len(), esnap.Len())
+	}
+}
+
+// TestEngineParityHandBuilt archives hand-built documents whose text no
+// XML round trip preserves — carriage returns, a control character,
+// adjacent text children, whitespace-only text — and requires the
+// external engine to archive exactly the tree the in-memory engine sees.
+func TestEngineParityHandBuilt(t *testing.T) {
+	elem, text := xmltree.Elem, xmltree.TextNode
+	doc := func(sal ...*Document) *Document {
+		return elem("db",
+			elem("dept", xmltree.ElemText("name", "d1"),
+				elem("emp", xmltree.ElemText("fn", "F1"), xmltree.ElemText("ln", "L1"),
+					elem("sal", sal...))))
+	}
+	cases := []struct {
+		name string
+		doc  *Document
+	}{
+		{"cr", doc(text("a\rb"))},
+		{"crlf", doc(text("a\r\nb"))},
+		{"control", doc(text("a\x01b"))},
+		{"adjacent", doc(text("90"), text("K"))},
+		{"whitespace", doc(text("90K"), text(" \n\t"))},
+		{"whitespace-only", doc(text("  "))},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			mem := NewStore(mustSpec(t))
+			ext, err := OpenStore(t.TempDir(), mustSpec(t), WithMemoryBudget(64))
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer ext.Close()
+			// The second, identical version must match the first in both
+			// engines: no new content group.
+			for _, s := range []Store{mem, ext} {
+				for i := 0; i < 2; i++ {
+					if err := s.Add(tc.doc); err != nil {
+						t.Fatalf("%T.Add: %v", s, err)
+					}
+				}
+			}
+			for n := 1; n <= 2; n++ {
+				mv, err := mem.Version(n)
+				if err != nil {
+					t.Fatal(err)
+				}
+				ev, err := ext.Version(n)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if mc, ec := xmltree.Canonical(mv), xmltree.Canonical(ev); mc != ec {
+					t.Errorf("Version(%d) differs across engines:\nmem %q\next %q", n, mc, ec)
+				}
+				var mw, ew strings.Builder
+				if err := mem.WriteVersion(n, &mw); err != nil {
+					t.Fatal(err)
+				}
+				if err := ext.WriteVersion(n, &ew); err != nil {
+					t.Fatal(err)
+				}
+				if mw.String() != ew.String() {
+					t.Errorf("WriteVersion(%d) differs across engines:\nmem %q\next %q", n, mw.String(), ew.String())
+				}
+			}
+			ms, err := mem.Stats()
+			if err != nil {
+				t.Fatal(err)
+			}
+			es, err := ext.Stats()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if ms != es {
+				t.Errorf("stats differ:\nmem %+v\next %+v", ms, es)
+			}
+		})
+	}
+}
+
+// TestExtStoreFrontEndsSameBytes archives the same releases through both
+// decomposer front ends — AddReader with validation off streams the XML
+// tokens, Add walks the parsed tree — and requires every archive file to
+// come out byte-identical.
+func TestExtStoreFrontEndsSameBytes(t *testing.T) {
+	t.Run("omim", func(t *testing.T) {
+		g := datagen.NewOMIM(datagen.OMIMConfig{Seed: 81, Records: 60,
+			DeleteFrac: 0.05, InsertFrac: 0.05, ModifyFrac: 0.05})
+		var texts []string
+		for i := 0; i < 4; i++ {
+			texts = append(texts, g.Next().IndentedXML())
+		}
+		frontEndsSameBytes(t, datagen.OMIMSpec(), texts)
+	})
+	// Markup the two front ends must read alike: attributes in any order,
+	// namespace declarations and prefixes, comments and CDATA splitting
+	// text, entity references and inter-element whitespace.
+	t.Run("markup", func(t *testing.T) {
+		texts := []string{deptVersion(2), `<db xmlns="urn:db">
+  <dept><name>d1</name>
+    <emp><fn>F1</fn><ln>L1</ln>
+      <sal z="2" a="1" xmlns:x="urn:x" x:cur="USD" y:raw="r">9<!-- c -->0<![CDATA[K&]]> &amp; <b k="v">bonus</b></sal>
+    </emp>
+  </dept>
+</db>`, deptVersion(3)}
+		frontEndsSameBytes(t, mustSpec(t), texts)
+	})
+}
+
+// frontEndsSameBytes archives texts through the stream front end and, parsed,
+// through the tree front end, then compares the two archive directories.
+func frontEndsSameBytes(t *testing.T, spec *KeySpec, texts []string) {
+	t.Helper()
+	opts := []Option{WithMemoryBudget(1 << 10), WithSegmentTargetSize(4 << 10)}
+	streamDir, treeDir := t.TempDir(), t.TempDir()
+	stream, err := OpenStore(streamDir, spec, append(opts, WithValidation(false))...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tree, err := OpenStore(treeDir, spec, opts...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, text := range texts {
+		if err := stream.AddReader(strings.NewReader(text)); err != nil {
+			t.Fatal(err)
+		}
+		doc, err := ParseXMLString(text)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := tree.Add(doc); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, s := range []*ExtStore{stream, tree} {
+		if err := s.Close(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	files := func(dir string) map[string][]byte {
+		ents, err := os.ReadDir(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		out := map[string][]byte{}
+		for _, e := range ents {
+			b, err := os.ReadFile(filepath.Join(dir, e.Name()))
+			if err != nil {
+				t.Fatal(err)
+			}
+			out[e.Name()] = b
+		}
+		return out
+	}
+	sf, tf := files(streamDir), files(treeDir)
+	segs := 0
+	for name, b := range sf {
+		if strings.HasPrefix(name, "seg-") {
+			segs++
+		}
+		if tb, ok := tf[name]; !ok {
+			t.Errorf("%s: written by the stream front end only", name)
+		} else if !bytes.Equal(b, tb) {
+			t.Errorf("%s differs across front ends (%d vs %d bytes)", name, len(b), len(tb))
+		}
+	}
+	for name := range tf {
+		if _, ok := sf[name]; !ok {
+			t.Errorf("%s: written by the tree front end only", name)
+		}
+	}
+	for _, name := range []string{"keydir.idx", "attr.idx", "dict.txt", "meta.txt"} {
+		if _, ok := sf[name]; !ok {
+			t.Errorf("%s missing from the archive", name)
+		}
+	}
+	if segs == 0 {
+		t.Error("archive has no segment files")
 	}
 }
 

@@ -29,13 +29,18 @@ import (
 // under a read lock and then reads without holding any lock, so any
 // number of readers run alongside an Add: the Add commits a fresh
 // directory by rename while open snapshots pin their generation's
-// segment files. WithMaterializedView(true) restores the previous
-// behavior of querying a cached in-memory view.
+// segment files. This streaming engine is the store's only query path;
+// MemStore is the reference its answers are tested against.
+//
+// Segments are written in one format (format 2: per-segment interned
+// dictionary, optional block compression). An archive written before
+// that format existed still opens: Open rewrites its format-1 segments,
+// and a pre-segment monolithic token file, to format 2 once, committed
+// through the same crash-safe key-directory rename as an Add.
 type ExtStore struct {
 	mu     sync.RWMutex
 	cfg    config
 	ar     *extmem.Archiver
-	view   *core.Archive // materialized query view (opt-in); nil when stale
 	closed bool
 }
 
@@ -54,8 +59,6 @@ func OpenStore(dir string, spec *KeySpec, opts ...Option) (*ExtStore, error) {
 		NoDirectorySeek:  cfg.noSeek,
 		CompactTarget:    cfg.compTarget,
 		CompactionBudget: cfg.compBudget,
-		SegmentFormat:    cfg.segFormat,
-		NoMigrate:        cfg.noMigrate,
 		Compression:      cfg.segCompress,
 		NoAttrIndex:      cfg.noQueryIdx,
 		FS:               cfg.fs,
@@ -122,7 +125,6 @@ func (s *ExtStore) AddBatch(docs []*Document) ([]AddResult, error) {
 	if len(valid) == 0 {
 		return out, nil
 	}
-	s.view = nil
 	items, err := s.ar.AddTreeBatch(valid)
 	if err != nil {
 		return out, err
@@ -168,7 +170,6 @@ func (s *ExtStore) addStream(r io.Reader) error {
 	if s.closed {
 		return ErrClosed
 	}
-	s.view = nil
 	return s.ar.AddVersion(r)
 }
 
@@ -184,43 +185,6 @@ func (s *ExtStore) query() (*extmem.QueryView, error) {
 	return s.ar.OpenQuery()
 }
 
-// acquireView returns the opt-in materialized read view, building it under
-// the write lock if the last Add invalidated it. The returned archive is
-// immutable: a later Add replaces the pointer rather than mutating it, so
-// callers may keep reading it without holding any lock.
-func (s *ExtStore) acquireView() (*core.Archive, error) {
-	s.mu.RLock()
-	v, closed := s.view, s.closed
-	s.mu.RUnlock()
-	if closed {
-		return nil, ErrClosed
-	}
-	if v != nil {
-		return v, nil
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.closed {
-		return nil, ErrClosed
-	}
-	if s.view == nil {
-		// Stream the archive XML straight into the loader through a pipe:
-		// the XML form is never held as a full in-memory buffer alongside
-		// the parsed archive.
-		pr, pw := io.Pipe()
-		go func() {
-			pw.CloseWithError(s.ar.WriteArchiveXML(pw))
-		}()
-		view, err := core.LoadReader(pr, s.ar.Spec(), s.cfg.coreOptions())
-		pr.Close()
-		if err != nil {
-			return nil, err
-		}
-		s.view = view
-	}
-	return s.view, nil
-}
-
 // Versions returns the number of archived versions.
 func (s *ExtStore) Versions() int {
 	s.mu.RLock()
@@ -231,13 +195,6 @@ func (s *ExtStore) Versions() int {
 // Version reconstructs version n with one streaming scan of the token
 // file (only version n's content is ever materialized).
 func (s *ExtStore) Version(n int) (*Document, error) {
-	if s.cfg.matview {
-		v, err := s.acquireView()
-		if err != nil {
-			return nil, err
-		}
-		return v.Version(n)
-	}
 	q, err := s.query()
 	if err != nil {
 		return nil, err
@@ -250,9 +207,6 @@ func (s *ExtStore) Version(n int) (*Document, error) {
 // token file to w — the version is never built in memory, and the bytes
 // are identical to the in-memory engine's output.
 func (s *ExtStore) WriteVersion(n int, w io.Writer) error {
-	if s.cfg.matview {
-		return writeVersion(s, n, w)
-	}
 	q, err := s.query()
 	if err != nil {
 		return err
@@ -264,13 +218,6 @@ func (s *ExtStore) WriteVersion(n int, w io.Writer) error {
 // History returns the versions in which the selected element exists,
 // resolving the selector against per-node timestamps during one scan.
 func (s *ExtStore) History(selector string) (*VersionSet, error) {
-	if s.cfg.matview {
-		v, err := s.acquireView()
-		if err != nil {
-			return nil, err
-		}
-		return v.History(selector)
-	}
 	q, err := s.query()
 	if err != nil {
 		return nil, err
@@ -282,13 +229,6 @@ func (s *ExtStore) History(selector string) (*VersionSet, error) {
 // ContentHistory returns the versions at which the selected frontier
 // element's content changed.
 func (s *ExtStore) ContentHistory(selector string) ([]int, error) {
-	if s.cfg.matview {
-		v, err := s.acquireView()
-		if err != nil {
-			return nil, err
-		}
-		return v.ContentHistory(selector)
-	}
 	q, err := s.query()
 	if err != nil {
 		return nil, err
@@ -298,22 +238,15 @@ func (s *ExtStore) ContentHistory(selector string) ([]int, error) {
 }
 
 // Select evaluates a boolean query expression against the archive's
-// records; see Store.Select. With the attribute-index sidecar present
-// (the default) selective predicates answer from the index and read only
-// the matched subtrees' bytes; without it (WithQueryIndex(false), a
-// stale sidecar, or a v1 archive that never rebuilt one) the same
-// expression streams the records and answers identically.
+// records; see Store.Select. With a fresh attribute-index sidecar
+// selective predicates answer from the index and read only the matched
+// subtrees' bytes; when the sidecar is missing or stale (a crash
+// between a commit and its sidecar refresh) the same expression streams
+// the records and answers identically.
 func (s *ExtStore) Select(expr string) ([]SelectResult, error) {
 	e, err := qlang.Parse(expr)
 	if err != nil {
 		return nil, err
-	}
-	if s.cfg.matview {
-		v, err := s.acquireView()
-		if err != nil {
-			return nil, err
-		}
-		return evalRecords(e, memRecords(v.Root(), v.Versions()))
 	}
 	q, err := s.query()
 	if err != nil {
@@ -325,13 +258,6 @@ func (s *ExtStore) Select(expr string) ([]SelectResult, error) {
 
 // Stats summarizes the archive's structure with streaming scans.
 func (s *ExtStore) Stats() (Stats, error) {
-	if s.cfg.matview {
-		v, err := s.acquireView()
-		if err != nil {
-			return Stats{}, err
-		}
-		return v.Stats(), nil
-	}
 	q, err := s.query()
 	if err != nil {
 		return Stats{}, err
@@ -362,7 +288,6 @@ func (s *ExtStore) Close() error {
 		return nil
 	}
 	s.closed = true
-	s.view = nil
 	return s.ar.Close()
 }
 

@@ -122,28 +122,12 @@ type Config struct {
 	// compaction pass may rewrite. 0 (the default) disables the
 	// opportunistic pass; explicit Compact calls are never budgeted.
 	CompactionBudget int
-	// SegmentFormat selects the on-disk encoding of newly written
-	// segment files: 2 (the default) writes dictionary-interned v2
-	// segments (see segdict.go), 1 the legacy inline-string format.
-	// Existing v1 segments are rewritten to the v2 format at Open unless
-	// NoMigrate is set.
-	SegmentFormat int
-	// NoMigrate suppresses the open-time rewrite of legacy format-1
-	// segments. The archive then runs mixed-format: queries and merges
-	// read both encodings, new writes use SegmentFormat. Mostly a
-	// testing knob.
-	NoMigrate bool
-	// Compression block-compresses v2 segment payloads (64 KiB deflate
+	// Compression block-compresses segment payloads (64 KiB deflate
 	// blocks with a per-block index, so directory seeks still land
 	// mid-segment). Off by default: interning alone shrinks segments and
 	// raw payloads keep scans cheapest; enable it where disk bytes
 	// dominate.
 	Compression bool
-	// NoDictPreload leaves segment dictionaries to load lazily on first
-	// query reference instead of being warmed at Open. Open becomes
-	// O(1) in the segment count again, at the price of the first query
-	// into each segment paying its dictionary decode.
-	NoDictPreload bool
 	// NoAttrIndex disables the attr.idx secondary-index sidecar: segment
 	// writes skip fact capture, commits skip the sidecar rebuild, and
 	// Select queries always run the exact streaming scan (diagnostic
@@ -184,9 +168,6 @@ func (c *Config) setDefaults() {
 	if c.CompactTarget > c.SegmentTarget {
 		c.CompactTarget = c.SegmentTarget
 	}
-	if c.SegmentFormat == 0 {
-		c.SegmentFormat = segFormatV2
-	}
 	if c.FS == nil {
 		c.FS = fsio.OS
 	}
@@ -206,9 +187,6 @@ func Open(dir string, spec *keys.Spec, cfg Config) (*Archiver, error) {
 	cfg.setDefaults()
 	if err := cfg.FS.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("extmem: %w", err)
-	}
-	if cfg.SegmentFormat != segFormat && cfg.SegmentFormat != segFormatV2 {
-		return nil, fmt.Errorf("extmem: unsupported segment format %d", cfg.SegmentFormat)
 	}
 	ar := &Archiver{
 		dir: dir, spec: spec, cfg: cfg, fs: cfg.FS,
@@ -290,10 +268,8 @@ func Open(dir string, spec *keys.Spec, cfg Config) (*Archiver, error) {
 	// Transparent format upgrade: rewrite any legacy format-1 segments
 	// before the orphan sweep, so a crash mid-migration strands only
 	// files finishOpen removes on the next open.
-	if ar.cfg.SegmentFormat == segFormatV2 && !ar.cfg.NoMigrate {
-		if err := ar.migrateSegmentsV2(); err != nil {
-			return nil, err
-		}
+	if err := ar.migrateSegmentsV2(); err != nil {
+		return nil, err
 	}
 	ar.finishOpen()
 	return ar, nil
@@ -306,41 +282,6 @@ func metaMatches(metaData []byte, d *keyDirectory) bool {
 		return false
 	}
 	return meta.versions == d.versions && meta.rootTime.Equal(d.rootTime) && len(meta.roots) == len(d.roots)
-}
-
-// migrateV1 upgrades a monolithic archive.tok layout in place.
-func (ar *Archiver) migrateV1(metaData []byte) error {
-	var versions int
-	var timeStr string
-	if _, err := fmt.Fscanf(bytes.NewReader(metaData), "versions %d\nroottime %q\n", &versions, &timeStr); err != nil {
-		return fmt.Errorf("extmem: corrupt meta: %w", err)
-	}
-	ts, err := intervals.Parse(timeStr)
-	if err != nil {
-		return fmt.Errorf("extmem: corrupt meta timestamp: %w", err)
-	}
-	// Any seg-*.tok files predating a v1 layout are leftovers of an
-	// interrupted migration; the token file is still authoritative.
-	for _, p := range ar.globSegments() {
-		ar.fs.Remove(p)
-	}
-	d, newFiles, err := ar.migrateMonolithic(filepath.Join(ar.dir, archiveFile), versions, ts)
-	if err != nil {
-		for _, f := range newFiles {
-			ar.fs.Remove(filepath.Join(ar.dir, f))
-		}
-		return err
-	}
-	if err := ar.commitState(d); err != nil {
-		for _, f := range newFiles {
-			ar.fs.Remove(filepath.Join(ar.dir, f))
-		}
-		return err
-	}
-	ar.fs.Remove(filepath.Join(ar.dir, archiveFile))
-	d.resolveTags(ar.dict)
-	ar.curDir = d
-	return nil
 }
 
 // finishOpen installs generation 0 and garbage-collects files no
@@ -365,21 +306,16 @@ func (ar *Archiver) finishOpen() {
 	}
 }
 
-// preloadDicts warms the dictionary cache for every committed v2
+// preloadDicts warms the dictionary cache for every committed
 // segment. The dictionaries are immutable per-segment metadata — the
 // same class of state as the key directory loaded above — so paying
 // their decode once at open keeps it off every query's first token.
 // Best-effort: a segment that fails to load here surfaces its error on
 // the query that actually touches it, exactly as without preloading.
 func (ar *Archiver) preloadDicts() {
-	if ar.cfg.NoDictPreload {
-		return
-	}
 	for _, r := range ar.curDir.roots {
 		for _, s := range r.segs {
-			if s.format == segFormatV2 {
-				ar.segDicts.get(s)
-			}
+			ar.segDicts.get(s)
 		}
 	}
 }

@@ -438,7 +438,7 @@ func (sw *segmentSetWriter) captureIdx(rec *segmentRecord, res *encodedSegment) 
 	}
 	cf := &capFile{crc: rec.crc}
 	for _, m := range sw.marks {
-		cf.entries = append(cf.entries, captureEntryFacts(sw.cap.toks, m, res.tokOffs))
+		cf.entries = append(cf.entries, captureEntryFacts(sw.out.toks, m, res.tokOffs))
 	}
 	if sw.ar.pendingIdx == nil {
 		sw.ar.pendingIdx = map[string]*capFile{}
@@ -629,7 +629,8 @@ func (ar *Archiver) buildAttrIndex(d *keyDirectory, old *attrIndex) (*attrIndex,
 					continue
 				}
 			}
-			// Scan fallback: v1 segments, migrated files, byte-coalesced
+			// Scan fallback: files this process did not write (e.g. ones
+			// upgraded from format 1 at an earlier open), byte-coalesced
 			// compaction outputs. Exact facts, no kid spans.
 			qv, err := scanView()
 			if err != nil {

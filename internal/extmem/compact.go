@@ -228,11 +228,11 @@ func (ar *Archiver) compact(budget int64) (CompactStats, error) {
 // token for token into fresh right-sized segment files, re-deriving the
 // entry table with rebased offsets. The token stream is unchanged — the
 // concatenated archive stream, and every query answer, is identical
-// before and after — though the encoded bytes may differ: the output is
-// written in the configured segment format, so compaction also carries
-// mixed-format runs across the version boundary.
+// before and after — though the encoded bytes may differ: each output
+// file gets a fresh dictionary (and, when configured, compression) over
+// exactly the tokens it holds.
 func (ar *Archiver) coalesceRun(newRoot, old *rootRecord, lo, hi int, onCreate func(string)) ([]*segmentRecord, int64, error) {
-	// All-format-2 uncompressed runs coalesce at the byte level — id
+	// Uncompressed runs coalesce at the byte level — id
 	// remapping instead of token decoding; see compactfast.go.
 	if segs, copied, ok, err := ar.coalesceFast(newRoot, old, lo, hi, onCreate); ok {
 		return segs, copied, err

@@ -8,14 +8,14 @@ import (
 	"path/filepath"
 )
 
-// Byte-level coalescing for format-2 runs. The general coalesce path
-// decodes every input token against its segment dictionary and feeds it
-// back through the segment encoder — correct for any mix of formats,
+// Byte-level coalescing for uncompressed runs. The general coalesce
+// path decodes every input token against its segment dictionary and
+// feeds it back through the segment encoder — correct for any input,
 // but it re-materializes every string and rebuilds every dictionary
-// table from scratch, which costs far more than the verbatim byte copy
-// v1 compaction did. When every input of a run is an uncompressed
-// format-2 segment (and the store writes uncompressed format 2, the
-// default), none of that decoding is necessary: the output payload is
+// table from scratch, which costs far more than a verbatim byte copy.
+// When every input of a run is uncompressed (and the store writes
+// uncompressed segments, the default), none of that decoding is
+// necessary: the output payload is
 // the concatenation of the input payloads with dictionary ids remapped,
 // and the output dictionary is the sorted merge of the referenced input
 // entries. Both can be computed directly on the raw bytes — the string
@@ -27,8 +27,8 @@ import (
 // Because the merged tables contain exactly the entries the output's
 // tokens reference, in sorted order, the result is the same segment the
 // token-by-token path would have produced; the fast path is an
-// optimization, not a format variant. Runs with format-1 or compressed
-// inputs fall back to the general path.
+// optimization, not a format variant. Runs with compressed inputs fall
+// back to the general path.
 
 // fastInput is one input segment of a byte-level coalesce: its raw
 // dictionary+payload bytes, the pre-scanned table geometry, and the
@@ -605,12 +605,12 @@ func (fc *fastCoalescer) writeOutput(ar *Archiver, root *rootRecord, refs []entr
 // return ok=true with the error, so the caller cleans up instead of
 // re-running the general path over half-written state.
 func (ar *Archiver) coalesceFast(newRoot, old *rootRecord, lo, hi int, onCreate func(string)) ([]*segmentRecord, int64, bool, error) {
-	if ar.cfg.SegmentFormat != segFormatV2 || ar.cfg.Compression {
+	if ar.cfg.Compression {
 		return nil, 0, false, nil
 	}
 	for si := lo; si < hi; si++ {
 		s := old.segs[si]
-		if s.format != segFormatV2 || s.stored != s.payload || len(s.entries) == 0 {
+		if s.stored != s.payload || len(s.entries) == 0 {
 			return nil, 0, false, nil
 		}
 	}

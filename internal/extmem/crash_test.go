@@ -341,17 +341,17 @@ func TestCrashMatrixMigration(t *testing.T) {
 // strand no transient files, and preserve the archive stream exactly;
 // the recovery reopen finishes the upgrade.
 func TestCrashMatrixFormatMigration(t *testing.T) {
-	cfgV1 := Config{Budget: 1 << 16, SegmentTarget: 2048, SegmentFormat: segFormat}
 	cfg := Config{Budget: 1 << 16, SegmentTarget: 2048}
 	base := t.TempDir()
-	ar := buildOMIMArchive(t, base, cfgV1, 2)
+	ar := buildOMIMArchive(t, base, cfg, 2)
 	want := archiveStreamBytes(t, ar)
 	versions := ar.Versions()
-	if f := segFormats(ar); f[segFormat] == 0 || f[segFormatV2] != 0 {
-		t.Fatalf("fixture not pure v1: %v", f)
-	}
 	if err := ar.Close(); err != nil {
 		t.Fatal(err)
+	}
+	downgradeToV1(t, base, datagen.OMIMSpec())
+	if f := keydirFormats(t, base); f[segFormat] == 0 || f[segFormatV2] != 0 {
+		t.Fatalf("fixture not pure v1: %v", f)
 	}
 
 	// Clean traced run: the whole upgrade — segment rewrites through the

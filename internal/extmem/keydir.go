@@ -270,6 +270,10 @@ func (r *kdReader) str() string {
 	if r.err != nil {
 		return ""
 	}
+	if n > uint64(r.r.Len()) {
+		r.err = corruptf("%d-byte string overruns the %d bytes left", n, r.r.Len())
+		return ""
+	}
 	buf := make([]byte, n)
 	if _, err := io.ReadFull(r.r, buf); err != nil {
 		r.err = err

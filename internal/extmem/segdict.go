@@ -426,11 +426,11 @@ func (cr *countReader) Read(p []byte) (int, error) {
 // ---------------------------------------------------------------------------
 // v2 segment encoding (write side)
 
-// captureWriter is the tokenSink of the v2 segment writer: tokens are
+// captureWriter is the output of the segment writer: tokens are
 // buffered in decoded form (dictionary tables need the whole segment's
 // token population before ids can be assigned in sorted order), and est
-// tracks an approximate encoded size so the roll decision at child
-// boundaries behaves like v1's byte count did.
+// tracks an approximate encoded size for the roll decision at child
+// boundaries.
 type captureWriter struct {
 	toks []token
 	est  int64

@@ -5,7 +5,6 @@ import (
 	"bytes"
 	"encoding/binary"
 	"fmt"
-	"hash"
 	"hash/crc32"
 	"io"
 	"path/filepath"
@@ -62,35 +61,18 @@ type segmentHeader struct {
 	dict      *segDict
 }
 
-// encodeSegmentHeader renders a format-1 header; the payload length and
-// CRC may be placeholders to be patched by closeCurrent. (Format-2
-// headers are rendered whole by segEncoder.encode — a v2 file is
-// written in one pass, never patched.)
-func encodeSegmentHeader(h *segmentHeader) []byte {
-	var w kdWriter
-	w.b.WriteString(segMagic)
-	w.b.WriteByte(segFormat)
-	var flags byte
-	if h.raw {
-		flags |= segFlagRaw
-	}
-	w.b.WriteByte(flags)
-	var fixed [12]byte
-	binary.LittleEndian.PutUint64(fixed[:8], uint64(h.payload))
-	binary.LittleEndian.PutUint32(fixed[8:], h.crc)
-	w.b.Write(fixed[:])
-	w.str(h.rootName)
-	w.key(h.rootKey)
-	return w.b.Bytes()
-}
-
 // fixedOff is the offset of the payload-length/CRC fields in the header.
 const segFixedOff = len(segMagic) + 2
 
 // readSegmentHeader parses the header at the start of f. The variable
 // tail (the root label) is read through a position-tracking reader, so
-// arbitrarily large root keys parse back exactly as written.
+// arbitrarily large root keys parse back exactly as written; every
+// length it declares is checked against the bytes the file still holds.
 func readSegmentHeader(f io.ReadSeeker) (*segmentHeader, error) {
+	size, err := f.Seek(0, io.SeekEnd)
+	if err != nil {
+		return nil, fmt.Errorf("extmem: %w", err)
+	}
 	if _, err := f.Seek(0, io.SeekStart); err != nil {
 		return nil, fmt.Errorf("extmem: %w", err)
 	}
@@ -116,8 +98,7 @@ func readSegmentHeader(f io.ReadSeeker) (*segmentHeader, error) {
 	}
 	h.payload = int64(binary.LittleEndian.Uint64(fixed[segFixedOff : segFixedOff+8]))
 	h.crc = binary.LittleEndian.Uint32(fixed[segFixedOff+8 : segFixedOff+12])
-	pr := &posReader{br: bufio.NewReaderSize(f, 4096)}
-	var err error
+	pr := &posReader{br: bufio.NewReaderSize(f, 4096), limit: size - int64(len(fixed))}
 	if h.rootName, err = pr.str(); err != nil {
 		return nil, fmt.Errorf("extmem: segment header: %w", err)
 	}
@@ -178,6 +159,9 @@ func readSegmentHeader(f io.ReadSeeker) (*segmentHeader, error) {
 		if nBlocks != want {
 			return nil, fmt.Errorf("extmem: segment header: %d blocks for %d payload bytes (want %d)", nBlocks, h.payload, want)
 		}
+		if !pr.fits(nBlocks) { // every block size takes at least one byte
+			return nil, corruptf("segment header: %d block sizes overrun the file", nBlocks)
+		}
 		blockSizes = make([]int64, 0, nBlocks)
 		var sum int64
 		for i := uint64(0); i < nBlocks; i++ {
@@ -195,6 +179,9 @@ func readSegmentHeader(f io.ReadSeeker) (*segmentHeader, error) {
 	dictLen, err := pr.varint()
 	if err != nil {
 		return nil, fmt.Errorf("extmem: segment header: %w", err)
+	}
+	if !pr.fits(dictLen) {
+		return nil, corruptf("segment header: %d-byte dictionary overruns the file", dictLen)
 	}
 	h.dictLen = int64(dictLen)
 	dictBytes := make([]byte, dictLen)
@@ -242,17 +229,7 @@ func verifySegment(fs fsio.FS, path string, sr *segmentRecord) error {
 		return fmt.Errorf("extmem: segment %s header disagrees with directory", sr.file)
 	}
 	if h.format == segFormat {
-		crc := crc32.NewIEEE()
-		if _, err := f.Seek(h.dataOff, io.SeekStart); err != nil {
-			return fmt.Errorf("extmem: %w", err)
-		}
-		if _, err := io.CopyN(crc, f, h.payload); err != nil {
-			return fmt.Errorf("extmem: segment %s truncated: %w", sr.file, err)
-		}
-		if crc.Sum32() != sr.crc {
-			return fmt.Errorf("extmem: segment %s payload checksum mismatch", sr.file)
-		}
-		return nil
+		return verifyLegacySegment(f, h, sr)
 	}
 	if h.stored != sr.stored || h.storedCRC != sr.storedCRC || h.dictLen != sr.dictLen {
 		return fmt.Errorf("extmem: segment %s header disagrees with directory", sr.file)
@@ -305,28 +282,11 @@ func verifySegment(fs fsio.FS, path string, sr *segmentRecord) error {
 // ---------------------------------------------------------------------------
 // Segment writing
 
-// segPayloadWriter counts and checksums the payload bytes of one segment
-// file as they pass through to disk.
-type segPayloadWriter struct {
-	f   fsio.File
-	crc hash.Hash32
-	n   int64
-}
-
-func (w *segPayloadWriter) Write(p []byte) (int, error) {
-	n, err := w.f.Write(p)
-	if n > 0 {
-		w.crc.Write(p[:n])
-		w.n += int64(n)
-	}
-	return n, err
-}
-
-// segmentSetWriter streams merged subtrees into a sequence of segment
+// segmentSetWriter collects merged subtrees into a sequence of segment
 // files, rolling to a fresh file whenever the current payload passes the
 // target size at a child boundary, and recording one directory entry per
-// child. The embedded tokenWriter is stable across rolls, so a merge can
-// keep one output handle for the whole pass.
+// child. The capture buffer is stable across rolls, so a merge can keep
+// one output handle for the whole pass.
 //
 // When the caller knows the total payload it will write (the compactor
 // does), planned/minTail arm tail absorption: a roll is suppressed when
@@ -336,29 +296,18 @@ type segmentSetWriter struct {
 	ar       *Archiver
 	root     *rootRecord
 	raw      bool
-	format   int  // segFormat or segFormatV2
-	compress bool // v2 only: block-compress payloads
+	compress bool // block-compress payloads
 	target   int64
 
 	planned int64 // total payload the caller will write; 0 = unknown
 	minTail int64 // smallest acceptable final file under planned
 	written int64 // payload completed in already-closed files
 
-	// out is where the merge pipeline emits tokens: the streaming
-	// inline writer (v1) or the capture buffer (v2).
-	out tokenSink
-
-	// v1 streaming state.
-	tw   *tokenWriter
-	pw   *segPayloadWriter
-	f    fsio.File
-	head int64 // header length of the current file
-
-	// v2 capture state: the current file's tokens are buffered (the
-	// dictionary needs the whole population before ids exist), encoded
-	// and written in one pass at closeCurrent. No file exists until
-	// then.
-	cap       *captureWriter
+	// out is where the merge pipeline emits tokens. The current file's
+	// tokens are buffered (the dictionary needs the whole population
+	// before ids exist), encoded and written in one pass at
+	// closeCurrent. No file exists until then.
+	out       *captureWriter
 	enc       *segEncoder
 	marks     []entryMark
 	markStart int
@@ -378,17 +327,11 @@ type segmentSetWriter struct {
 func newSegmentSetWriter(ar *Archiver, root *rootRecord, raw bool, emit func(*segmentRecord), onCreate func(name string)) *segmentSetWriter {
 	sw := &segmentSetWriter{
 		ar: ar, root: root, raw: raw, target: int64(ar.cfg.SegmentTarget),
-		format: ar.cfg.SegmentFormat, compress: ar.cfg.Compression,
-		tw: newTokenWriter(io.Discard), emit: emit, onCreate: onCreate,
+		compress: ar.cfg.Compression,
+		out:      &captureWriter{}, enc: newSegEncoder(),
+		emit: emit, onCreate: onCreate,
 	}
-	if sw.format == segFormatV2 {
-		sw.cap = &captureWriter{}
-		sw.enc = newSegEncoder()
-		sw.enc.wantOffs = !raw && !ar.cfg.NoAttrIndex
-		sw.out = sw.cap
-	} else {
-		sw.out = sw.tw
-	}
+	sw.enc.wantOffs = !raw && !ar.cfg.NoAttrIndex
 	return sw
 }
 
@@ -398,99 +341,28 @@ func (sw *segmentSetWriter) fail(err error) {
 	}
 }
 
-// open starts a fresh segment. For v1 the file is created up front and
-// streamed; for v2 only the capture buffer starts — the file (and its
-// name) appears at closeCurrent, written complete in one pass.
+// open starts a fresh segment: only the capture buffer starts — the file
+// (and its name) appears at closeCurrent, written complete in one pass.
 func (sw *segmentSetWriter) open() {
 	if sw.err != nil {
 		return
 	}
-	if sw.format == segFormatV2 {
-		sw.cap.reset()
-		sw.marks = sw.marks[:0]
-		sw.cur = &segmentRecord{format: segFormatV2}
-		return
-	}
-	name := fmt.Sprintf("seg-%08d.tok", sw.ar.nextSeg)
-	sw.ar.nextSeg++
-	f, err := sw.ar.fs.Create(filepath.Join(sw.ar.dir, name))
-	if err != nil {
-		sw.fail(fmt.Errorf("extmem: create segment: %w", err))
-		return
-	}
-	if sw.onCreate != nil {
-		sw.onCreate(name)
-	}
-	head := encodeSegmentHeader(&segmentHeader{raw: sw.raw, rootName: sw.root.name, rootKey: sw.root.key})
-	if _, err := f.Write(head); err != nil {
-		f.Close()
-		sw.fail(fmt.Errorf("extmem: %w", err))
-		return
-	}
-	sw.f = f
-	sw.head = int64(len(head))
-	sw.pw = &segPayloadWriter{f: f, crc: crc32.NewIEEE()}
-	sw.cur = &segmentRecord{file: name, format: segFormat, dataOff: sw.head}
-	sw.tw.w.Reset(sw.pw)
+	sw.out.reset()
+	sw.marks = sw.marks[:0]
+	sw.cur = &segmentRecord{format: segFormatV2}
 }
 
-// closeCurrent finishes the open segment: for v1 the streamed file is
-// patched with the payload length and CRC, fsynced, and emitted; for v2
-// the captured tokens are encoded (dictionary, payload, optional block
-// compression) and written as a complete file in one pass.
+// closeCurrent encodes the captured tokens (dictionary, payload,
+// optional block compression) and writes them as a complete file in one
+// pass. Until here nothing of this segment exists on disk, so an encode
+// or create failure leaves no file to clean up; fsync/close failures are
+// commit faults.
 func (sw *segmentSetWriter) closeCurrent() {
-	if sw.format == segFormatV2 {
-		sw.closeV2()
-		return
-	}
-	if sw.cur == nil || sw.err != nil {
-		if sw.cur != nil && sw.err != nil && sw.f != nil {
-			sw.f.Close()
-			sw.f = nil
-			sw.cur = nil
-		}
-		return
-	}
-	if err := sw.tw.flush(); err != nil {
-		sw.fail(err)
-		sw.f.Close()
-		sw.cur = nil
-		return
-	}
-	sw.cur.payload = sw.pw.n
-	sw.cur.crc = sw.pw.crc.Sum32()
-	var fixed [12]byte
-	binary.LittleEndian.PutUint64(fixed[:8], uint64(sw.cur.payload))
-	binary.LittleEndian.PutUint32(fixed[8:], sw.cur.crc)
-	if _, err := sw.f.WriteAt(fixed[:], int64(segFixedOff)); err != nil {
-		sw.fail(fmt.Errorf("extmem: %w", err))
-	} else if err := sw.f.Sync(); err != nil {
-		// A failed segment fsync is durability-critical: the file may be
-		// referenced by the directory about to be committed while its
-		// pages were silently dropped (fsyncgate), so it must poison the
-		// writer rather than be retried.
-		sw.fail(commitFaultf("fsync segment "+sw.cur.file, err))
-	}
-	if err := sw.f.Close(); err != nil {
-		sw.fail(commitFaultf("close segment "+sw.cur.file, err))
-	}
-	if sw.err == nil {
-		sw.written += sw.cur.payload
-		sw.emit(sw.cur)
-	}
-	sw.f, sw.cur, sw.pw = nil, nil, nil
-}
-
-// closeV2 encodes and writes the captured segment. Until here nothing
-// of this segment exists on disk, so an encode or create failure leaves
-// no file to clean up; fsync/close failures are commit faults exactly
-// as in the v1 path.
-func (sw *segmentSetWriter) closeV2() {
 	if sw.cur == nil || sw.err != nil {
 		sw.cur = nil
 		return
 	}
-	res, err := sw.enc.encode(sw.raw, sw.compress, sw.root.name, sw.root.key, sw.cap.toks, sw.marks)
+	res, err := sw.enc.encode(sw.raw, sw.compress, sw.root.name, sw.root.key, sw.out.toks, sw.marks)
 	if err != nil {
 		sw.fail(err)
 		sw.cur = nil
@@ -532,6 +404,10 @@ func (sw *segmentSetWriter) closeV2() {
 		return
 	}
 	if err := f.Sync(); err != nil {
+		// A failed segment fsync is durability-critical: the file may be
+		// referenced by the directory about to be committed while its
+		// pages were silently dropped (fsyncgate), so it must poison the
+		// writer rather than be retried.
 		f.Close()
 		sw.fail(commitFaultf("fsync segment "+name, err))
 		sw.cur = nil
@@ -548,15 +424,6 @@ func (sw *segmentSetWriter) closeV2() {
 	sw.cur = nil
 }
 
-// payloadLen returns the (for v2: estimated) payload bytes of the open
-// segment, the quantity roll decisions are made on.
-func (sw *segmentSetWriter) payloadLen() int64 {
-	if sw.format == segFormatV2 {
-		return sw.cap.est
-	}
-	return sw.pw.n
-}
-
 // beginChild notes the subtree about to be written; its entry is
 // completed by endChild. For raw roots the entry metadata is ignored.
 func (sw *segmentSetWriter) beginChild(name string, tag int, key *tkey, timeStr string) {
@@ -569,37 +436,21 @@ func (sw *segmentSetWriter) beginChild(name string, tag int, key *tkey, timeStr 
 			return
 		}
 	}
-	if sw.format == segFormatV2 {
-		sw.markStart = len(sw.cap.toks)
-		sw.pending = childEntry{name: name, tag: tag, key: key, timeStr: timeStr}
-		return
-	}
-	if err := sw.tw.flush(); err != nil {
-		sw.fail(err)
-		return
-	}
-	sw.pending = childEntry{name: name, tag: tag, key: key, timeStr: timeStr, offset: sw.pw.n}
+	sw.markStart = len(sw.out.toks)
+	sw.pending = childEntry{name: name, tag: tag, key: key, timeStr: timeStr}
 }
 
 // endChild completes the pending entry and rolls the file when the
-// payload passed the target size — unless the caller declared its total
-// payload and the remainder would land in a file smaller than minTail.
+// estimated payload passed the target size — unless the caller declared
+// its total payload and the remainder would land in a file smaller than
+// minTail.
 func (sw *segmentSetWriter) endChild() {
 	if sw.err != nil || sw.cur == nil {
 		return
 	}
-	if sw.format == segFormatV2 {
-		sw.marks = append(sw.marks, entryMark{start: sw.markStart, end: len(sw.cap.toks)})
-		sw.cur.entries = append(sw.cur.entries, sw.pending)
-	} else {
-		if err := sw.tw.flush(); err != nil {
-			sw.fail(err)
-			return
-		}
-		sw.pending.size = sw.pw.n - sw.pending.offset
-		sw.cur.entries = append(sw.cur.entries, sw.pending)
-	}
-	if n := sw.payloadLen(); n >= sw.target {
+	sw.marks = append(sw.marks, entryMark{start: sw.markStart, end: len(sw.out.toks)})
+	sw.cur.entries = append(sw.cur.entries, sw.pending)
+	if n := sw.out.est; n >= sw.target {
 		if sw.planned > 0 && sw.planned-(sw.written+n) < sw.minTail {
 			return // absorb the tail instead of rolling a tiny file
 		}
@@ -607,10 +458,9 @@ func (sw *segmentSetWriter) endChild() {
 	}
 }
 
-// finish closes any open file and releases the token writer buffer.
+// finish closes any open file.
 func (sw *segmentSetWriter) finish() error {
 	sw.closeCurrent()
-	sw.tw.release()
 	return sw.err
 }
 
@@ -638,7 +488,7 @@ type dirStream struct {
 	fs      fsio.FS
 	dir     string
 	parts   []streamPart
-	dicts   *dictCache // resolves v2 segment dictionaries; may be nil for pure-v1 streams
+	dicts   *dictCache // resolves segment dictionaries
 	i       int
 	f       fsio.File
 	counter *atomic.Int64
@@ -676,8 +526,9 @@ func (pr *partReader) Read(p []byte) (int, error) {
 }
 
 // nextPart closes the current part and opens the next, returning its
-// reader and segment dictionary (nil for literal and v1 parts). A nil
-// reader with nil error means the stream is exhausted.
+// reader and segment dictionary (nil for literal parts, which use the
+// inline grammar). A nil reader with nil error means the stream is
+// exhausted.
 func (s *dirStream) nextPart() (io.Reader, *segDict, error) {
 	if s.f != nil {
 		s.f.Close()
@@ -694,28 +545,20 @@ func (s *dirStream) nextPart() (io.Reader, *segDict, error) {
 		return &s.cnt, nil, nil
 	}
 	seg := part.seg
-	f, err := s.openPart(filepath.Join(s.dir, seg.file))
+	f, err := s.fs.Open(filepath.Join(s.dir, seg.file))
 	if err != nil {
 		return nil, nil, fmt.Errorf("extmem: %w", err)
 	}
 	s.f = f
-	var dict *segDict
-	if seg.format == segFormatV2 {
-		if s.dicts == nil {
-			f.Close()
-			s.f = nil
-			return nil, nil, fmt.Errorf("extmem: no dictionary cache for v2 segment %s", seg.file)
-		}
-		dict, err = s.dicts.get(seg)
-		if err != nil {
-			f.Close()
-			s.f = nil
-			return nil, nil, err
-		}
-		if dict.blockLen > 0 {
-			s.blk.reset(f, dict, part.off, part.n, s.counter)
-			return &s.blk, dict, nil
-		}
+	dict, err := s.dicts.get(seg)
+	if err != nil {
+		f.Close()
+		s.f = nil
+		return nil, nil, err
+	}
+	if dict.blockLen > 0 {
+		s.blk.reset(f, dict, part.off, part.n, s.counter)
+		return &s.blk, dict, nil
 	}
 	if _, err := f.Seek(seg.dataOff+part.off, io.SeekStart); err != nil {
 		f.Close()
@@ -724,16 +567,6 @@ func (s *dirStream) nextPart() (io.Reader, *segDict, error) {
 	}
 	s.sec = partReader{f: f, rem: part.n, c: s.counter}
 	return &s.sec, dict, nil
-}
-
-// openPart opens one segment file through the stream's FS; a stream
-// built without one (tests, ad-hoc scans) falls back to the plain OS.
-func (s *dirStream) openPart(path string) (fsio.File, error) {
-	fs := s.fs
-	if fs == nil {
-		fs = fsio.OS
-	}
-	return fs.Open(path)
 }
 
 // Close releases the stream's open file, if any.

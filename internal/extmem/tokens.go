@@ -117,19 +117,6 @@ func compareKeys(a, b *tkey) int {
 	return 0
 }
 
-// tokenSink is the write side shared by the inline v1 encoder
-// (tokenWriter) and the v2 segment capture (captureWriter), so the
-// merge pipeline emits tokens without knowing the output format.
-type tokenSink interface {
-	open(tagID int, key *tkey, time string)
-	text(s string)
-	attr(nameID int, value string)
-	close()
-	tsOpen(time string)
-	tsClose()
-	writeToken(t token)
-}
-
 // tokenWriter writes a token stream.
 type tokenWriter struct {
 	w *bufio.Writer
@@ -237,10 +224,11 @@ func (tw *tokenWriter) writeToken(t token) {
 // attr tokens reference interned strings, key tuples, and pre-parsed
 // interval sets instead of allocating them per token. A reader fed by a
 // dirStream advances across stream parts at token boundaries, switching
-// dictionaries (or back to inline v1 decoding, dict == nil) per part.
+// dictionaries (or back to the inline grammar, dict == nil, for the
+// synthesized literal parts) per part.
 type tokenReader struct {
 	r    *bufio.Reader
-	dict *segDict   // current part's dictionary; nil = inline v1 grammar
+	dict *segDict   // current part's dictionary; nil = inline grammar
 	src  *dirStream // nil = single fixed reader
 	cur  token
 	err  error

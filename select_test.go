@@ -132,7 +132,7 @@ func TestSelectIndexBytesRead(t *testing.T) {
 		return out.String(), s.BytesRead() - start
 	}
 	idxOut, idxBytes := measure()
-	scanOut, scanBytes := measure(WithQueryIndex(false), WithDirectorySeek(false))
+	scanOut, scanBytes := measure(withQueryIndex(false), withDirectorySeek(false))
 	if idxOut != scanOut {
 		t.Fatalf("indexed and scan answers disagree:\nindexed:\n%s\nscan:\n%s", idxOut, scanOut)
 	}
@@ -213,11 +213,13 @@ func mustSelect(t *testing.T, s Store, expr string) string {
 }
 
 // TestSelectDifferential archives identical random version sequences into
-// the in-memory engine and five external-engine configurations (indexed,
-// forced streaming scan, legacy v1 segments, compressed segments,
-// materialized view) and requires every random boolean query to answer
-// byte-identically everywhere — before compaction, after compaction, and
-// after a close/reopen that reloads the persistent sidecar.
+// the in-memory engine and three external-engine configurations (indexed,
+// forced streaming scan, compressed segments) and requires every random
+// boolean query to answer byte-identically everywhere — before
+// compaction, after compaction, and after a close/reopen that reloads
+// the persistent sidecar. Archives upgraded from format-1 segments are
+// held to the same query set in internal/extmem
+// (TestUpgradedArchiveMatchesNative).
 func TestSelectDifferential(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
 	for trial := 0; trial < 3; trial++ {
@@ -238,10 +240,8 @@ func TestSelectDifferential(t *testing.T) {
 			}
 			exts := map[string]*ExtStore{
 				"indexed":    open(idxDir),
-				"scan":       open(t.TempDir(), WithQueryIndex(false), WithDirectorySeek(false)),
-				"v1":         open(t.TempDir(), withSegmentFormat(1), withNoMigrate(true)),
+				"scan":       open(t.TempDir(), withQueryIndex(false), withDirectorySeek(false)),
 				"compressed": open(t.TempDir(), WithSegmentCompression(true)),
-				"matview":    open(t.TempDir(), WithMaterializedView(true)),
 			}
 			defer func() {
 				for _, s := range exts {

@@ -119,14 +119,11 @@ type config struct {
 	indexes     bool
 	validation  bool
 	budget      int     // external-sort memory budget, in tokens
-	matview     bool    // external engine answers queries from a materialized view
 	segTarget   int     // external engine segment payload target, in bytes
 	shards      int     // external engine run-forming shards (0 = auto)
 	noSeek      bool    // external engine: disable key-directory seeks
 	compTarget  int     // external engine: undersized-segment threshold, in bytes
 	compBudget  int     // external engine: opportunistic compaction budget per Add, in bytes
-	segFormat   int     // external engine segment format (0 = current default)
-	noMigrate   bool    // external engine: keep legacy-format segments as they are
 	segCompress bool    // external engine: block-compress segment payloads
 	noQueryIdx  bool    // external engine: disable the attr.idx query sidecar
 	fs          fsio.FS // external engine filesystem (nil = the real one)
@@ -163,8 +160,8 @@ func WithCompaction(on bool) Option {
 // (§7.2). On by default; Add invalidates them and the next query
 // rebuilds them, so they are never stale and cost nothing during bulk
 // ingest. Turn them off to make every query a direct archive scan.
-// In-memory engine only; the external engine always queries its
-// materialized view directly.
+// In-memory engine only; the external engine always answers from its
+// key directory and segment files.
 func WithIndexes(on bool) Option {
 	return func(c *config) { c.indexes = on }
 }
@@ -223,27 +220,6 @@ func WithIngestShards(n int) Option {
 	return func(c *config) { c.shards = n }
 }
 
-// WithDirectorySeek toggles the external engine's key-directory seeks:
-// on (the default), selective keyed queries resolve through the
-// persistent key directory and read only the matching subtrees; off,
-// every query scans the full archive stream. The two paths answer
-// byte-identically — turning seeks off is a diagnostic/benchmark knob.
-// External engine only.
-func WithDirectorySeek(on bool) Option {
-	return func(c *config) { c.noSeek = !on }
-}
-
-// WithQueryIndex toggles the external engine's query-index sidecar
-// (attr.idx): on (the default), commits maintain an inverted
-// attribute/change/subtree index next to the key directory and Select
-// plans index seeks through it; off, the sidecar is neither written nor
-// read and every Select evaluates by exact streaming scan. The two paths
-// answer identically — the sidecar is advisory, never authoritative.
-// External engine only.
-func WithQueryIndex(on bool) Option {
-	return func(c *config) { c.noQueryIdx = !on }
-}
-
 // WithFS routes every filesystem operation of the external engine
 // through fs instead of the real filesystem. The seam exists for fault
 // injection and crash-consistency testing (internal/fsio.FaultFS wraps
@@ -264,29 +240,23 @@ func WithSegmentCompression(on bool) Option {
 	return func(c *config) { c.segCompress = on }
 }
 
-// withSegmentFormat pins the external engine's segment format (1 =
-// legacy inline strings, 2 = interned). Test-only: mixed-version and
-// migration tests build legacy archives with it.
-func withSegmentFormat(v int) Option {
-	return func(c *config) { c.segFormat = v }
+// withDirectorySeek toggles the external engine's key-directory seeks:
+// on (the default), selective keyed queries resolve through the
+// persistent key directory and read only the matching subtrees; off,
+// every query scans the full archive stream. Test-only: the two paths
+// answer byte-identically, and the differential suites and benchmarks
+// use the forced scan as their reference.
+func withDirectorySeek(on bool) Option {
+	return func(c *config) { c.noSeek = !on }
 }
 
-// withNoMigrate suppresses the external engine's open-time rewrite of
-// legacy-format segments. Test-only: mixed-version tests read archives
-// holding both formats at once.
-func withNoMigrate(on bool) Option {
-	return func(c *config) { c.noMigrate = on }
-}
-
-// WithMaterializedView makes the external engine answer queries from an
-// in-memory materialized view of the whole archive, rebuilt after every
-// Add, instead of the default streaming scans of the token file. The view
-// costs O(archive) memory and an O(archive) rebuild on the first query
-// after each Add, but then amortizes across a heavy read-mostly query
-// stream on an archive that fits in RAM. External engine only; off by
-// default.
-func WithMaterializedView(on bool) Option {
-	return func(c *config) { c.matview = on }
+// withQueryIndex toggles the external engine's attr.idx query sidecar:
+// off, the sidecar is neither written nor read and every Select
+// evaluates by exact streaming scan. Test-only, like withDirectorySeek:
+// the sidecar is advisory, and the scan is the reference it is checked
+// against.
+func withQueryIndex(on bool) Option {
+	return func(c *config) { c.noQueryIdx = !on }
 }
 
 // writeVersion implements Store.WriteVersion on top of Version; both

@@ -335,24 +335,39 @@ func frontEndsSameBytes(t *testing.T, spec *KeySpec, texts []string) {
 	}
 }
 
-// TestEngineParityFormats pins byte-identical query output across three
-// stores of the same versions: the in-memory engine, a legacy format-1
-// external archive opened as a pre-migration fixture, and that same
-// archive after the transparent upgrade to format-2 segments.
+// TestEngineParityFormats pins byte-identical query output between the
+// in-memory engine and an archive written by the retired format-1
+// segment writer (internal/extmem/testdata/v1-dept, versions
+// deptVersion(1..4)) once the transparent open-time upgrade has
+// rewritten it to format-2 segments. Before the upgrade, fsck must
+// verify the format-1 archive clean in place.
 func TestEngineParityFormats(t *testing.T) {
 	mem := NewStore(mustSpec(t))
 	defer mem.Close()
+	for n := 1; n <= 4; n++ {
+		addString(t, mem, deptVersion(n))
+	}
 	dir := t.TempDir()
-	ext, err := OpenStore(dir, mustSpec(t), WithMemoryBudget(64), withSegmentFormat(1))
+	const fixture = "internal/extmem/testdata/v1-dept"
+	ents, err := os.ReadDir(fixture)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for n := 1; n <= 4; n++ {
-		addString(t, mem, deptVersion(n))
-		addString(t, ext, deptVersion(n))
+	for _, e := range ents {
+		b, err := os.ReadFile(filepath.Join(fixture, e.Name()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(filepath.Join(dir, e.Name()), b, 0o644); err != nil {
+			t.Fatal(err)
+		}
 	}
-	if err := ext.Close(); err != nil {
+	report, err := CheckStore(dir)
+	if err != nil {
 		t.Fatal(err)
+	}
+	if !report.Clean {
+		t.Fatalf("fsck of the format-1 fixture: %+v", report.Problems())
 	}
 
 	sameAsMem := func(t *testing.T, s Store) {
@@ -419,33 +434,13 @@ func TestEngineParityFormats(t *testing.T) {
 		}
 	}
 
-	// Pre-migration fixture: migration disabled, so the archive still
-	// holds exactly the format-1 segments the first open wrote.
-	v1, err := OpenStore(dir, mustSpec(t), WithMemoryBudget(64), withNoMigrate(true))
-	if err != nil {
-		t.Fatal(err)
-	}
-	segs, err := v1.Segments()
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, sg := range segs {
-		if sg.Format != 1 {
-			t.Fatalf("fixture segment %s has format %d, want 1", sg.File, sg.Format)
-		}
-	}
-	sameAsMem(t, v1)
-	if err := v1.Close(); err != nil {
-		t.Fatal(err)
-	}
-
-	// Default open upgrades in place; answers must not move a byte.
+	// Open upgrades in place; answers must match the in-memory engine.
 	v2, err := OpenStore(dir, mustSpec(t), WithMemoryBudget(64))
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer v2.Close()
-	segs, err = v2.Segments()
+	segs, err := v2.Segments()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -493,58 +488,6 @@ func TestStreamingQueryAfterAdd(t *testing.T) {
 		if h.String() != fmt.Sprint(n) {
 			t.Fatalf("History(%s) = %q right after Add, want %d", sel, h, n)
 		}
-	}
-}
-
-// TestWithMaterializedView checks the opt-in view path answers exactly
-// like the default streaming path.
-func TestWithMaterializedView(t *testing.T) {
-	stream, err := OpenStore(t.TempDir(), mustSpec(t), WithMemoryBudget(64))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer stream.Close()
-	mat, err := OpenStore(t.TempDir(), mustSpec(t), WithMemoryBudget(64), WithMaterializedView(true))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer mat.Close()
-	for n := 1; n <= 3; n++ {
-		addString(t, stream, deptVersion(n))
-		addString(t, mat, deptVersion(n))
-		// Query right after Add on both paths.
-		var sw, mw strings.Builder
-		if err := stream.WriteVersion(n, &sw); err != nil {
-			t.Fatal(err)
-		}
-		if err := mat.WriteVersion(n, &mw); err != nil {
-			t.Fatal(err)
-		}
-		if sw.String() != mw.String() {
-			t.Errorf("version %d differs between streaming and materialized view", n)
-		}
-	}
-	ss, err := stream.Stats()
-	if err != nil {
-		t.Fatal(err)
-	}
-	vs, err := mat.Stats()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ss != vs {
-		t.Errorf("stats differ:\nstreaming %+v\nmatview   %+v", ss, vs)
-	}
-	sh, err := stream.History("/db/dept[name=d2]")
-	if err != nil {
-		t.Fatal(err)
-	}
-	vh, err := mat.History("/db/dept[name=d2]")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !sh.Equal(vh) {
-		t.Errorf("history differs: streaming %q, matview %q", sh, vh)
 	}
 }
 

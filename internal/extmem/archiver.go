@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"io"
 	iofs "io/fs"
+	"math"
 	"path/filepath"
 	"runtime"
 	"strings"
@@ -101,15 +102,17 @@ type genState struct {
 type Config struct {
 	// Budget caps the run former's in-memory partial trees, in tokens;
 	// small budgets force many sorted runs (useful to exercise the
-	// external path). Default 1<<20.
+	// external path). A parsed tree (AddTreeBatch) of at most Budget
+	// tokens is sorted wholly in memory, with no scratch file. Default
+	// 1<<20.
 	Budget int
 	// SegmentTarget is the segment file payload size the merge aims for,
 	// in bytes. Smaller targets mean more segments: finer-grained merge
 	// reuse and more selective seeks, at more files. Default 256 KiB.
 	SegmentTarget int
-	// Shards is the number of run-former workers ingest fans out to,
-	// splitting top-level subtrees across cores. Default
-	// min(4, GOMAXPROCS); 1 disables sharding.
+	// Shards is the number of run-former workers the external sort fans
+	// out to, splitting top-level subtrees across cores (a tree sorted in
+	// memory uses one). Default min(4, GOMAXPROCS); 1 disables sharding.
 	Shards int
 	// NoDirectorySeek makes every query scan the full archive stream
 	// instead of seeking through the key directory (diagnostic knob; the
@@ -610,11 +613,7 @@ func (ar *Archiver) AddEmptyVersion() error { return ar.AddVersion(nil) }
 // errors.Is(err, ErrDegraded), every later write fails fast, and readers
 // keep serving the last committed generation (see degrade.go).
 func (ar *Archiver) AddVersion(r io.Reader) error {
-	var src source
-	if r != nil {
-		src = func(d *decomposer) error { return d.decodeXML(r) }
-	}
-	items, err := ar.addBatch([]source{src})
+	items, err := ar.addBatch([]source{{r: r}})
 	if err != nil {
 		return err
 	}
@@ -645,7 +644,10 @@ type BatchItem struct {
 // with no serialize/re-parse round trip, so the archived version is
 // exactly the tree given, text included verbatim. For a document
 // produced by xmltree.Parse the archive bytes equal those AddVersion
-// writes for the same XML.
+// writes for the same XML. A tree of at most Config.Budget tokens is
+// already held in memory, so it is decomposed into one partial tree and
+// sorted there, with no scratch file; a larger one takes the external
+// path through token, key and run files.
 //
 // The returned slice has one BatchItem per document: a document whose
 // own pipeline fails gets its error there, consumes no version number,
@@ -658,16 +660,25 @@ type BatchItem struct {
 func (ar *Archiver) AddTreeBatch(docs []*xmltree.Node) ([]BatchItem, error) {
 	srcs := make([]source, len(docs))
 	for i, doc := range docs {
-		if doc != nil {
-			srcs[i] = func(d *decomposer) error { return d.walkTree(doc) }
-		}
+		srcs[i].tree = doc
 	}
 	return ar.addBatch(srcs)
 }
 
-// source feeds one version's document to the decomposer (one of its two
-// front ends); a nil source is an empty version.
-type source func(d *decomposer) error
+// source is one version's document: a parsed tree for the decomposer's
+// tree front end or an XML stream for its stream front end. With
+// neither set it is an empty version.
+type source struct {
+	tree *xmltree.Node
+	r    io.Reader
+}
+
+func (s source) decompose(d *decomposer) error {
+	if s.tree != nil {
+		return d.walkTree(s.tree)
+	}
+	return d.decodeXML(s.r)
+}
 
 // CommitCount returns the number of durable key-directory commits
 // (tmp+fsync+rename protocol runs) since the archiver was opened,
@@ -704,7 +715,7 @@ func (ar *Archiver) addBatch(srcs []source) ([]BatchItem, error) {
 		return errors.As(err, &cf)
 	}
 	for k, src := range srcs {
-		sortedPath, scratch, err := ar.prepareSorted(src)
+		sorted, scratch, err := ar.prepareSorted(src)
 		if err != nil {
 			removePaths(ar.fs, scratch)
 			items[k].Err = err
@@ -714,7 +725,7 @@ func (ar *Archiver) addBatch(srcs []source) ([]BatchItem, error) {
 			continue
 		}
 		vnum := staged.versions + 1
-		newDir, stats, newFiles, err := ar.mergeIntoSegments(staged, sortedPath, vnum)
+		newDir, stats, newFiles, err := ar.mergeIntoSegments(staged, sorted, vnum)
 		removePaths(ar.fs, scratch)
 		if err != nil {
 			for _, f := range newFiles {
@@ -772,158 +783,224 @@ func removePaths(fs fsio.FS, paths []string) {
 	}
 }
 
+// sortedVersion opens the sorted version stream (the inline token
+// grammar) for the segment merge, which reads it twice: once to plan
+// segment reuse, once to merge.
+type sortedVersion func() (io.ReadCloser, error)
+
+func sortedBytes(b []byte) sortedVersion {
+	return func() (io.ReadCloser, error) { return io.NopCloser(bytes.NewReader(b)), nil }
+}
+
 // prepareSorted runs phases 1–3 of the §6 pipeline for one version —
-// decompose, sharded run forming, run merge — and returns the path of
-// the sorted version file plus every scratch file created (sortedPath
-// included). The caller removes the scratch files when done with them;
-// a nil source produces an empty sorted file (an empty version).
-func (ar *Archiver) prepareSorted(src source) (sortedPath string, scratch []string, err error) {
+// decompose, run forming, run merge — and returns the sorted version
+// plus every scratch file created. The caller removes the scratch files
+// when done with the sorted version; an empty source is an empty
+// version.
+//
+// A parsed tree of at most Config.Budget tokens takes the in-memory
+// path: it is decomposed straight into one partial tree, which is sorted
+// and written once into a buffer, so no scratch file is created. That
+// holds no more tokens than the run formers of the external path may, so
+// the memory bound is the same. Larger trees and every XML stream take
+// the external path: token and key files, sharded runs, run merge.
+func (ar *Archiver) prepareSorted(src source) (sorted sortedVersion, scratch []string, err error) {
+	if src.tree == nil && src.r == nil {
+		return sortedBytes(nil), nil, nil
+	}
+	if src.tree != nil && treeTokens(src.tree, ar.cfg.Budget) <= ar.cfg.Budget {
+		b, stats, err := ar.sortInMemory(src.tree)
+		if err != nil {
+			return nil, nil, err
+		}
+		ar.LastSort = stats
+		return sortedBytes(b), nil, nil
+	}
 	tmp := func(name string) string { return filepath.Join(ar.dir, fmt.Sprintf("tmp-%s", name)) }
 
-	sortedPath = tmp("sorted.tok")
-	if src != nil {
-		// Phases 1+2, pipelined: decompose streams the version into the
-		// token file and the per-pattern key files while workers follow
-		// those files and form the bounded-memory sorted runs, so run
-		// forming's in-memory tree building overlaps decompose's parse and
-		// I/O. Key files are pre-created for every pattern of the spec
-		// (normalizing the spec here, before the workers share it).
-		tokPath := tmp("version.tok")
-		scratch = append(scratch, tokPath)
-		tokF, err := ar.fs.Create(tokPath)
+	sortedPath := tmp("sorted.tok")
+	// Phases 1+2, pipelined: decompose streams the version into the
+	// token file and the per-pattern key files while workers follow
+	// those files and form the bounded-memory sorted runs, so run
+	// forming's in-memory tree building overlaps decompose's parse and
+	// I/O. Key files are pre-created for every pattern of the spec
+	// (normalizing the spec here, before the workers share it).
+	tokPath := tmp("version.tok")
+	scratch = append(scratch, tokPath)
+	tokF, err := ar.fs.Create(tokPath)
+	if err != nil {
+		return nil, scratch, fmt.Errorf("extmem: %w", err)
+	}
+	progTok := newProgress()
+	tw := newTokenWriter(&progressWriter{f: tokF, p: progTok})
+
+	type keyFile struct {
+		path string
+		f    fsio.File
+		w    *tokenWriter
+		prog *progress
+	}
+	keyFiles := map[string]*keyFile{}
+	for _, k := range ar.spec.AllKeys() {
+		pattern := k.Pattern()
+		if _, ok := keyFiles[pattern]; ok {
+			continue
+		}
+		p := tmp("keys-" + sanitize(pattern) + ".key")
+		scratch = append(scratch, p)
+		f, err := ar.fs.Create(p)
 		if err != nil {
-			return "", scratch, fmt.Errorf("extmem: %w", err)
-		}
-		progTok := newProgress()
-		tw := newTokenWriter(&progressWriter{f: tokF, p: progTok})
-
-		type keyFile struct {
-			path string
-			f    fsio.File
-			w    *tokenWriter
-			prog *progress
-		}
-		keyFiles := map[string]*keyFile{}
-		for _, k := range ar.spec.AllKeys() {
-			pattern := k.Pattern()
-			if _, ok := keyFiles[pattern]; ok {
-				continue
-			}
-			p := tmp("keys-" + sanitize(pattern) + ".key")
-			scratch = append(scratch, p)
-			f, err := ar.fs.Create(p)
-			if err != nil {
-				tw.release()
-				tokF.Close()
-				for _, kf := range keyFiles {
-					kf.w.release()
-					kf.f.Close()
-				}
-				return "", scratch, fmt.Errorf("extmem: %w", err)
-			}
-			prog := newProgress()
-			keyFiles[pattern] = &keyFile{path: p, f: f, w: newTokenWriter(&progressWriter{f: f, p: prog}), prog: prog}
-		}
-		finishAll := func(err error) {
-			progTok.finish(err)
+			tw.release()
+			tokF.Close()
 			for _, kf := range keyFiles {
-				kf.prog.finish(err)
+				kf.w.release()
+				kf.f.Close()
 			}
+			return nil, scratch, fmt.Errorf("extmem: %w", err)
 		}
-
-		type runResult struct {
-			runs  []string
-			stats SortStats
-			err   error
-		}
-		resCh := make(chan runResult, 1)
-		go func() {
-			tokIn, err := ar.fs.Open(tokPath)
-			if err != nil {
-				resCh <- runResult{err: fmt.Errorf("extmem: %w", err)}
-				return
-			}
-			defer tokIn.Close()
-			var keyReaders []fsio.File
-			defer func() {
-				for _, f := range keyReaders {
-					f.Close()
-				}
-			}()
-			openKeyReader := func(pattern string) (*rawReader, error) {
-				kf, ok := keyFiles[pattern]
-				if !ok {
-					return nil, fmt.Errorf("extmem: no key file for pattern %s", pattern)
-				}
-				f, err := ar.fs.Open(kf.path)
-				if err != nil {
-					return nil, fmt.Errorf("extmem: %w", err)
-				}
-				keyReaders = append(keyReaders, f)
-				return newRawReader(&followReader{f: f, p: kf.prog}), nil
-			}
-			tr := newTokenReader(&followReader{f: tokIn, p: progTok})
-			runs, stats, err := formRunsSharded(ar.fs, tr, ar.dict, ar.spec, ar.cfg.Budget, ar.dir, "tmp", openKeyReader, ar.cfg.Shards)
-			tr.release()
-			resCh <- runResult{runs: runs, stats: stats, err: err}
-		}()
-
-		keyWriter := func(pattern string) (*tokenWriter, error) {
-			kf, ok := keyFiles[pattern]
-			if !ok {
-				return nil, fmt.Errorf("extmem: key pattern %s not in specification", pattern)
-			}
-			return kf.w, nil
-		}
-		// Periodically flushing the writers publishes their bytes to the
-		// following run formers, keeping the pipeline overlapped instead
-		// of draining everything at end of document.
-		syncWriters := func() error {
-			if err := tw.flush(); err != nil {
-				return err
-			}
-			for _, kf := range keyFiles {
-				if err := kf.w.flush(); err != nil {
-					return err
-				}
-			}
-			return nil
-		}
-		derr := src(newDecomposer(ar.spec, ar.dict, tw, keyWriter, syncWriters))
-		if derr == nil {
-			derr = syncWriters()
-		}
-		finishAll(derr)
-		res := <-resCh
-		scratch = append(scratch, res.runs...)
-		tw.release()
+		prog := newProgress()
+		keyFiles[pattern] = &keyFile{path: p, f: f, w: newTokenWriter(&progressWriter{f: f, p: prog}), prog: prog}
+	}
+	finishAll := func(err error) {
+		progTok.finish(err)
 		for _, kf := range keyFiles {
-			kf.w.release()
-			kf.f.Close()
-		}
-		if cerr := tokF.Close(); derr == nil && cerr != nil {
-			derr = cerr
-		}
-		if derr != nil {
-			return "", scratch, derr
-		}
-		if res.err != nil {
-			return "", scratch, res.err
-		}
-		ar.LastSort = res.stats
-
-		// Phase 3: merge the runs into one sorted version.
-		scratch = append(scratch, sortedPath)
-		if err := mergeRunFiles(ar.fs, res.runs, ar.dict, sortedPath); err != nil {
-			return "", scratch, err
-		}
-	} else {
-		scratch = append(scratch, sortedPath)
-		if err := ar.fs.WriteFile(sortedPath, nil, 0o644); err != nil {
-			return "", scratch, fmt.Errorf("extmem: %w", err)
+			kf.prog.finish(err)
 		}
 	}
-	return sortedPath, scratch, nil
+
+	type runResult struct {
+		runs  []string
+		stats SortStats
+		err   error
+	}
+	resCh := make(chan runResult, 1)
+	go func() {
+		tokIn, err := ar.fs.Open(tokPath)
+		if err != nil {
+			resCh <- runResult{err: fmt.Errorf("extmem: %w", err)}
+			return
+		}
+		defer tokIn.Close()
+		var keyReaders []fsio.File
+		defer func() {
+			for _, f := range keyReaders {
+				f.Close()
+			}
+		}()
+		openKeyReader := func(pattern string) (*rawReader, error) {
+			kf, ok := keyFiles[pattern]
+			if !ok {
+				return nil, fmt.Errorf("extmem: no key file for pattern %s", pattern)
+			}
+			f, err := ar.fs.Open(kf.path)
+			if err != nil {
+				return nil, fmt.Errorf("extmem: %w", err)
+			}
+			keyReaders = append(keyReaders, f)
+			return newRawReader(&followReader{f: f, p: kf.prog}), nil
+		}
+		tr := newTokenReader(&followReader{f: tokIn, p: progTok})
+		runs, stats, err := formRunsSharded(ar.fs, tr, ar.dict, ar.spec, ar.cfg.Budget, ar.dir, "tmp", openKeyReader, ar.cfg.Shards)
+		tr.release()
+		resCh <- runResult{runs: runs, stats: stats, err: err}
+	}()
+
+	keyWriter := func(pattern string) (*tokenWriter, error) {
+		kf, ok := keyFiles[pattern]
+		if !ok {
+			return nil, fmt.Errorf("extmem: key pattern %s not in specification", pattern)
+		}
+		return kf.w, nil
+	}
+	// Periodically flushing the writers publishes their bytes to the
+	// following run formers, keeping the pipeline overlapped instead
+	// of draining everything at end of document.
+	syncWriters := func() error {
+		if err := tw.flush(); err != nil {
+			return err
+		}
+		for _, kf := range keyFiles {
+			if err := kf.w.flush(); err != nil {
+				return err
+			}
+		}
+		return nil
+	}
+	derr := src.decompose(newDecomposer(ar.spec, ar.dict, tw, keyWriter, syncWriters))
+	if derr == nil {
+		derr = syncWriters()
+	}
+	finishAll(derr)
+	res := <-resCh
+	scratch = append(scratch, res.runs...)
+	tw.release()
+	for _, kf := range keyFiles {
+		kf.w.release()
+		kf.f.Close()
+	}
+	if cerr := tokF.Close(); derr == nil && cerr != nil {
+		derr = cerr
+	}
+	if derr != nil {
+		return nil, scratch, derr
+	}
+	if res.err != nil {
+		return nil, scratch, res.err
+	}
+	ar.LastSort = res.stats
+
+	// Phase 3: merge the runs into one sorted version.
+	scratch = append(scratch, sortedPath)
+	if err := mergeRunFiles(ar.fs, res.runs, ar.dict, sortedPath); err != nil {
+		return nil, scratch, err
+	}
+	return func() (io.ReadCloser, error) {
+		f, err := ar.fs.Open(sortedPath)
+		if err != nil {
+			return nil, fmt.Errorf("extmem: %w", err)
+		}
+		return f, nil
+	}, scratch, nil
+}
+
+// treeTokens counts the tokens the decomposer emits for the tree rooted
+// at n — one per element open, attribute, text node and close — and
+// stops counting once the count exceeds limit. Whitespace-only text that
+// decomposition drops is counted too, so the count is an upper bound.
+func treeTokens(n *xmltree.Node, limit int) int {
+	count := 2 + len(n.Attrs)
+	for _, c := range n.Children {
+		if count > limit {
+			break
+		}
+		switch c.Kind {
+		case xmltree.Text:
+			count++
+		case xmltree.Element:
+			count += treeTokens(c, limit-count)
+		}
+	}
+	return count
+}
+
+// sortInMemory is the in-memory path of phases 1–3: the decomposer walks
+// the tree into one run former partial tree, each keyed node receiving
+// its key as it closes, and the tree is written once, sorted, as the
+// version's only run. The caller has checked that the tree fits
+// Config.Budget, so the run former never flushes.
+func (ar *Archiver) sortInMemory(doc *xmltree.Node) ([]byte, SortStats, error) {
+	rf := &runFormer{dict: ar.dict, spec: ar.spec, budget: math.MaxInt, keysAtClose: true}
+	d := newDecomposer(ar.spec, ar.dict, nil, nil, nil)
+	d.tree = rf
+	if err := d.walkTree(doc); err != nil {
+		return nil, rf.stats, err
+	}
+	var buf bytes.Buffer
+	if err := rf.writeRun(&buf); err != nil {
+		return nil, rf.stats, err
+	}
+	rf.stats.Runs = 1
+	return buf.Bytes(), rf.stats, nil
 }
 
 func sanitize(s string) string {

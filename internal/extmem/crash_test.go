@@ -10,6 +10,7 @@ import (
 
 	"xarch/internal/datagen"
 	"xarch/internal/fsio"
+	"xarch/internal/xmltree"
 )
 
 // The crash matrix: record the I/O trace of one archive operation on a
@@ -113,16 +114,41 @@ func assertRecovered(t *testing.T, dir string, cfg Config, label string,
 	}
 }
 
-// TestCrashMatrixAdd crashes an AddVersion after every op k of its I/O
-// trace: recovery must land on exactly the 2-version or the 3-version
-// archive.
+// TestCrashMatrixAdd crashes an Add after every op k of its I/O trace:
+// recovery must land on exactly the 2-version or the 3-version archive.
+// It runs once per sort path: AddVersion through the external sort, and
+// AddTreeBatch through the in-memory sort, which writes no scratch file.
 func TestCrashMatrixAdd(t *testing.T) {
-	// Shards:1 keeps the ingest single-follower; a small budget forces
-	// several run files so the matrix covers the scratch-file phase.
-	cfg := Config{Budget: 512, SegmentTarget: 1024, Shards: 1}
 	g := datagen.NewOMIM(datagen.OMIMConfig{Seed: 91, Records: 12, DeleteFrac: 0.05, InsertFrac: 0.1, ModifyFrac: 0.1})
 	docs := []string{g.Next().IndentedXML(), g.Next().IndentedXML(), g.Next().IndentedXML()}
+	tree, err := xmltree.ParseString(docs[2])
+	if err != nil {
+		t.Fatal(err)
+	}
+	rows := []struct {
+		name string
+		cfg  Config
+		add  func(ar *Archiver) error
+	}{
+		// Shards:1 keeps the ingest single-follower; a small budget forces
+		// several run files so the matrix covers the scratch-file phase.
+		{"external", Config{Budget: 512, SegmentTarget: 1024, Shards: 1},
+			func(ar *Archiver) error { return ar.AddVersion(strings.NewReader(docs[2])) }},
+		{"in-memory", Config{SegmentTarget: 1024},
+			func(ar *Archiver) error {
+				items, err := ar.AddTreeBatch([]*xmltree.Node{tree})
+				if err != nil {
+					return err
+				}
+				return items[0].Err
+			}},
+	}
+	for _, row := range rows {
+		t.Run(row.name, func(t *testing.T) { crashMatrixAdd(t, row.cfg, docs, row.add) })
+	}
+}
 
+func crashMatrixAdd(t *testing.T, cfg Config, docs []string, add func(ar *Archiver) error) {
 	base := t.TempDir()
 	ar, err := Open(base, datagen.OMIMSpec(), cfg)
 	if err != nil {
@@ -150,7 +176,7 @@ func TestCrashMatrixAdd(t *testing.T) {
 		t.Fatal(err)
 	}
 	ffs.ResetTrace()
-	if err := tar.AddVersion(strings.NewReader(docs[2])); err != nil {
+	if err := add(tar); err != nil {
 		t.Fatal(err)
 	}
 	n := ffs.OpCount()
@@ -180,7 +206,7 @@ func TestCrashMatrixAdd(t *testing.T) {
 			// landed in post-commit cleanup, whose errors are ignored by
 			// design — the version is already durable.
 			cfs.CrashAfter(cfs.OpCount()+k, torn)
-			if err := car.AddVersion(strings.NewReader(docs[2])); err == nil {
+			if err := add(car); err == nil {
 				committedLate++
 			}
 			if !cfs.Crashed() {

@@ -7,7 +7,6 @@ import (
 	"fmt"
 	"io"
 	"slices"
-	"sort"
 	"strings"
 	"sync"
 
@@ -154,6 +153,12 @@ const decomposeBatch = 4096
 // from an already parsed *xmltree.Node. decodeXML names nodes and
 // coalesces text exactly as xmltree.Parse does, so a parsed document
 // decomposes to the same bytes through either.
+//
+// It emits to one of two places. On the external path the tokens go to
+// a token file and each keyed node's composite key value, complete only
+// when the node closes, to the key file of its pattern. On the in-memory
+// path (tree set) the tokens build the run former's partial tree
+// directly and a keyed node is handed its key as it closes.
 type decomposer struct {
 	spec *keys.Spec
 	dict *dictionary
@@ -162,6 +167,7 @@ type decomposer struct {
 	keyOut  map[string]*tokenWriter // key file per keyed-path pattern
 	keyFile func(pattern string) (*tokenWriter, error)
 	sync    func() error // periodic flush hook; may be nil
+	tree    *runFormer   // in-memory path: replaces tokens and key files
 
 	path     []string
 	pendings []*pendingKey
@@ -201,7 +207,9 @@ func (d *decomposer) decodeXML(r io.Reader) error {
 		}
 		switch t := tok.(type) {
 		case xml.StartElement:
-			d.flushText()
+			if err := d.flushText(); err != nil {
+				return err
+			}
 			attrs := d.attrs[:0]
 			for _, a := range t.Attr {
 				an := xmltree.QName(a.Name)
@@ -215,7 +223,9 @@ func (d *decomposer) decodeXML(r io.Reader) error {
 				return err
 			}
 		case xml.EndElement:
-			d.flushText()
+			if err := d.flushText(); err != nil {
+				return err
+			}
 			if err := d.end(); err != nil {
 				return err
 			}
@@ -251,7 +261,9 @@ func (d *decomposer) walkElem(n *xmltree.Node) error {
 	for _, c := range n.Children {
 		switch c.Kind {
 		case xmltree.Text:
-			d.text(c.Data)
+			if err := d.text(c.Data); err != nil {
+				return err
+			}
 		case xmltree.Element:
 			if err := d.walkElem(c); err != nil {
 				return err
@@ -273,31 +285,44 @@ func (d *decomposer) finish() error {
 
 // flushText hands the stream front end's coalesced character data to
 // text, dropping whitespace-only runs as xmltree.Parse does.
-func (d *decomposer) flushText() {
+func (d *decomposer) flushText() error {
 	if d.textBuf.Len() == 0 {
-		return
+		return nil
 	}
 	s := d.textBuf.String()
 	d.textBuf.Reset()
 	if strings.TrimSpace(s) == "" {
-		return
+		return nil
 	}
-	d.text(s)
+	return d.text(s)
 }
 
 // text emits one text node. Whitespace-only text above the frontier is
 // not part of the model (the in-memory annotator skips it too); below the
 // frontier content is kept verbatim.
-func (d *decomposer) text(s string) {
+func (d *decomposer) text(s string) error {
 	if d.frontier == 0 && strings.TrimSpace(s) == "" {
-		return
+		return nil
 	}
-	d.tokens.text(s)
+	if err := d.emit(token{op: tokText, data: s}); err != nil {
+		return err
+	}
 	for _, m := range d.memos {
 		m.b.WriteString("t(")
 		xmltree.EscapeCanonical(&m.b, s)
 		m.b.WriteByte(')')
 	}
+	return nil
+}
+
+// emit hands one token to the token file or, on the in-memory path, to
+// the run former's partial tree.
+func (d *decomposer) emit(t token) error {
+	if d.tree != nil {
+		return d.tree.feed(t)
+	}
+	d.tokens.writeToken(t)
+	return nil
 }
 
 // start opens element name with the given attributes. attrs is sorted in
@@ -388,9 +413,13 @@ func (d *decomposer) start(name string, attrs [][2]string) error {
 		}
 	}
 
-	d.tokens.open(d.dict.id(name), nil, "")
+	if err := d.emit(token{op: tokOpen, tag: d.dict.id(name)}); err != nil {
+		return err
+	}
 	for _, a := range attrs {
-		d.tokens.attr(d.dict.id(a[0]), a[1])
+		if err := d.emit(token{op: tokAttr, tag: d.dict.id(a[0]), data: a[1]}); err != nil {
+			return err
+		}
 	}
 	return nil
 }
@@ -410,8 +439,9 @@ func (d *decomposer) end() error {
 	}
 	d.memos = remaining
 
-	// If the closing node is keyed, its pending record is complete: write
-	// the composite key value to the key file of its path pattern.
+	// If the closing node is keyed, its pending record is complete: hand
+	// the composite key value to the partial tree's node, or write it to
+	// the key file of its path pattern.
 	if len(d.pendings) > 0 && d.pendings[len(d.pendings)-1].depth == d.depth {
 		p := d.pendings[len(d.pendings)-1]
 		d.pendings = d.pendings[:len(d.pendings)-1]
@@ -421,20 +451,26 @@ func (d *decomposer) end() error {
 					pathString(d.path), kp, p.key)
 			}
 		}
-		pattern := p.key.Pattern()
-		kw, ok := d.keyOut[pattern]
-		if !ok {
-			var err error
-			kw, err = d.keyFile(pattern)
-			if err != nil {
-				return err
+		if d.tree != nil {
+			d.tree.top().key = p.tkey()
+		} else {
+			pattern := p.key.Pattern()
+			kw, ok := d.keyOut[pattern]
+			if !ok {
+				var err error
+				kw, err = d.keyFile(pattern)
+				if err != nil {
+					return err
+				}
+				d.keyOut[pattern] = kw
 			}
-			d.keyOut[pattern] = kw
+			writeKeyRecord(kw, p)
 		}
-		writeKeyRecord(kw, p)
 	}
 
-	d.tokens.close()
+	if err := d.emit(token{op: tokClose}); err != nil {
+		return err
+	}
 	if d.frontier == d.depth {
 		d.frontier = 0
 	}
@@ -457,17 +493,24 @@ func (p *pendingKey) fill(pi int, canon string) error {
 // writeKeyRecord appends a composite key value: path names and canonical
 // values sorted by path name (§4.2's lexicographic key-path order).
 func writeKeyRecord(kw *tokenWriter, p *pendingKey) {
-	type ent struct{ path, canon string }
-	ents := make([]ent, len(p.key.KeyPaths))
-	for i, kp := range p.key.KeyPaths {
-		ents[i] = ent{kp.String(), p.values[i]}
+	names, order := p.key.SortedKeyPaths()
+	kw.varint(uint64(len(names)))
+	for i, name := range names {
+		kw.str(name)
+		kw.str(p.values[order[i]])
 	}
-	sort.Slice(ents, func(i, j int) bool { return ents[i].path < ents[j].path })
-	kw.varint(uint64(len(ents)))
-	for _, e := range ents {
-		kw.str(e.path)
-		kw.str(e.canon)
+}
+
+// tkey returns the completed composite key value in the order
+// writeKeyRecord writes it. The path names are the key's shared,
+// read-only slice.
+func (p *pendingKey) tkey() *tkey {
+	names, order := p.key.SortedKeyPaths()
+	canon := make([]string, len(order))
+	for i, j := range order {
+		canon[i] = p.values[j]
 	}
+	return &tkey{paths: names, canon: canon}
 }
 
 // rawReader reads the varint/string records of key files.

@@ -2,11 +2,14 @@ package extmem
 
 import (
 	"fmt"
+	"io"
+	"math"
 	"strings"
 	"testing"
 
 	"xarch/internal/core"
 	"xarch/internal/datagen"
+	"xarch/internal/fsio"
 	"xarch/internal/keys"
 	"xarch/internal/xmltree"
 )
@@ -211,6 +214,80 @@ func TestRunsFormedUnderBudget(t *testing.T) {
 	}
 }
 
+// TestTreeSortPaths pins which sort a batch of parsed trees takes, by
+// its I/O trace: trees within Config.Budget are sorted in memory as one
+// run and create no tmp-* scratch file; with the budget below a tree's
+// token count the same batch spills to token, key and run files.
+func TestTreeSortPaths(t *testing.T) {
+	g := datagen.NewOMIM(datagen.OMIMConfig{Seed: 43, Records: 40, InsertFrac: 0.05, ModifyFrac: 0.05})
+	docs := []*xmltree.Node{g.Next(), g.Next(), g.Next()}
+	for _, tc := range []struct {
+		name   string
+		budget int // 0: the default, which every document here fits
+		spill  bool
+	}{
+		{"in-memory", 0, false},
+		{"spill", treeTokens(docs[0], math.MaxInt) / 4, true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			ffs := fsio.NewFaultFS(nil)
+			ar, err := Open(t.TempDir(), datagen.OMIMSpec(), Config{Budget: tc.budget, Shards: 1, FS: ffs})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer ar.Close()
+			ffs.ResetTrace()
+			items, err := ar.AddTreeBatch(docs)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, it := range items {
+				if it.Err != nil {
+					t.Fatal(it.Err)
+				}
+			}
+			creates := 0
+			for _, op := range ffs.Ops() {
+				if op.Point == "scratch.create" {
+					creates++
+				}
+			}
+			if spilled := creates > 0; spilled != tc.spill {
+				t.Errorf("batch of 3 created %d scratch files; want spill = %v", creates, tc.spill)
+			}
+			if runs := ar.LastSort.Runs; (runs > 1) != tc.spill {
+				t.Errorf("last document sorted in %d runs; want spill = %v", runs, tc.spill)
+			}
+		})
+	}
+}
+
+// TestKeyRecordAllocations pins the per-keyed-node cost of a composite
+// key value: the key-path names come sorted from the normalized spec, so
+// writing a key record allocates nothing and the in-memory path's key
+// allocates only its tuple and value slice, sharing the names.
+func TestKeyRecordAllocations(t *testing.T) {
+	spec := datagen.OMIMSpec()
+	k := spec.KeyFor(keys.Path{"ROOT", "Record", "Contributors"})
+	p := &pendingKey{key: k, values: []string{"t(Smith)", "t(Author)", "t(Jan)", "t(1)", "t(1999)"}}
+	tw := newTokenWriter(io.Discard)
+	defer tw.release()
+	if allocs := testing.AllocsPerRun(100, func() { writeKeyRecord(tw, p) }); allocs != 0 {
+		t.Errorf("writeKeyRecord allocates %.1f times per record, want 0", allocs)
+	}
+	if allocs := testing.AllocsPerRun(100, func() { p.tkey() }); allocs != 2 {
+		t.Errorf("pendingKey.tkey allocates %.1f times per key, want 2", allocs)
+	}
+	got := p.tkey()
+	want := &tkey{
+		paths: []string{"CNtype", "Date/Day", "Date/Month", "Date/Year", "Name"},
+		canon: []string{"t(Author)", "t(1)", "t(Jan)", "t(1999)", "t(Smith)"},
+	}
+	if compareKeys(got, want) != 0 {
+		t.Errorf("key = %v %v, want %v %v", got.paths, got.canon, want.paths, want.canon)
+	}
+}
+
 func TestReopenAndExtend(t *testing.T) {
 	spec := datagen.CompanySpec()
 	docs := datagen.CompanyVersions()
@@ -322,6 +399,17 @@ func TestDecomposeErrors(t *testing.T) {
 	} {
 		if err := ar.AddVersion(strings.NewReader(src)); err == nil {
 			t.Errorf("AddVersion(%q): expected error", src)
+		}
+		tree, err := xmltree.ParseString(src)
+		if err != nil {
+			t.Fatal(err)
+		}
+		items, err := ar.AddTreeBatch([]*xmltree.Node{tree})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if items[0].Err == nil {
+			t.Errorf("AddTreeBatch(%q) in memory: expected error", src)
 		}
 		if ar.Versions() != 0 {
 			t.Fatalf("failed add advanced version counter")

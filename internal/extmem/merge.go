@@ -79,7 +79,7 @@ func (sm *streamMerger) mergeLevel(a, d *tokenReader, parentEff *intervals.Set, 
 // mergeEqual merges two same-label nodes.
 func (sm *streamMerger) mergeEqual(a, d *tokenReader, parentEff *intervals.Set, path []string) error {
 	at, _ := a.take()
-	dt, _ := d.take()
+	d.take()
 
 	eff, timeStr, err := mergedTimeTok(at, parentEff, sm.i)
 	if err != nil {
@@ -101,7 +101,6 @@ func (sm *streamMerger) mergeEqual(a, d *tokenReader, parentEff *intervals.Set, 
 		}
 		sm.emitMergedFrontier(aBody, dBody.shared, eff)
 		sm.out.close()
-		_ = dt
 		return nil
 	}
 

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"hash/crc32"
 	"io"
+	"math"
 	"path/filepath"
 
 	"xarch/internal/fsio"
@@ -113,25 +114,25 @@ func mergedTimeTok(at token, parentEff *intervals.Set, i int) (*intervals.Set, s
 	return t, t.String(), nil
 }
 
-// mergeIntoSegments merges the sorted version in sortedPath as version i
-// against the base directory — usually the committed ar.curDir, but a
+// mergeIntoSegments merges the sorted version as version i against the
+// base directory — usually the committed ar.curDir, but a
 // group commit (AddTreeBatch) chains the uncommitted directory of the
 // previous batch member through here. It returns the fresh directory,
 // the merge stats and the list of segment files created (for cleanup if
 // the commit fails).
-func (ar *Archiver) mergeIntoSegments(base *keyDirectory, sortedPath string, i int) (*keyDirectory, MergeStats, []string, error) {
+func (ar *Archiver) mergeIntoSegments(base *keyDirectory, sorted sortedVersion, i int) (*keyDirectory, MergeStats, []string, error) {
 	old := base
 	newRoot := old.rootTime.Clone()
 	newRoot.Add(i)
 	m := &segMerge{ar: ar, base: base, i: i, newRoot: newRoot}
 
-	if err := m.planReuse(sortedPath); err != nil {
+	if err := m.planReuse(sorted); err != nil {
 		return nil, m.stats, nil, err
 	}
 
-	df, err := ar.fs.Open(sortedPath)
+	df, err := sorted()
 	if err != nil {
-		return nil, m.stats, nil, fmt.Errorf("extmem: %w", err)
+		return nil, m.stats, nil, err
 	}
 	defer df.Close()
 	d := newTokenReader(df)
@@ -554,11 +555,11 @@ func copyBalancedTo(r *tokenReader, tw *captureWriter, emitClose bool) error {
 // the scan, checking each child's bytes against the stored section as
 // they stream past), never a fingerprint; the sorted version is read
 // exactly once.
-func (m *segMerge) planReuse(sortedPath string) error {
+func (m *segMerge) planReuse(sorted sortedVersion) error {
 	m.plans = map[*segmentRecord]*segPlan{}
-	f, err := m.ar.fs.Open(sortedPath)
+	f, err := sorted()
 	if err != nil {
-		return fmt.Errorf("extmem: %w", err)
+		return err
 	}
 	defer f.Close()
 	pr := &posReader{br: bufio.NewReaderSize(f, tokenBufSize)}
@@ -705,8 +706,10 @@ func (m *segMerge) planRoot(pr *posReader, r *rootRecord) error {
 		}
 		e := &seg.entries[ei]
 		ei++
-		if e.timeStr != "" {
-			plan(seg).dirty = true // the merge will restamp this child
+		// A restamped child makes the segment dirty; in a segment already
+		// dirty no comparison can change the verdict, so none is read.
+		if p := plan(seg); e.timeStr != "" || p.dirty {
+			p.dirty = true
 			if err := pr.skipBalanced(1); err != nil {
 				return err
 			}
@@ -1067,17 +1070,18 @@ func (p *posReader) attrPayload() error {
 
 func (p *posReader) varint() (uint64, error) {
 	var v uint64
-	var shift uint
-	for {
+	for shift := uint(0); ; shift += 7 {
 		b, err := p.byte()
 		if err != nil {
 			return 0, err
+		}
+		if shift == 63 && b > 1 {
+			return 0, corruptf("varint at offset %d overflows 64 bits", p.pos)
 		}
 		v |= uint64(b&0x7f) << shift
 		if b < 0x80 {
 			return v, nil
 		}
-		shift += 7
 	}
 }
 
@@ -1106,6 +1110,9 @@ func (p *posReader) skipStr() error {
 	n, err := p.varint()
 	if err != nil {
 		return err
+	}
+	if n > math.MaxInt64 || !p.fits(n) {
+		return corruptf("%d-byte string at offset %d overruns the input", n, p.pos)
 	}
 	dst := io.Discard
 	if p.sink != nil {

@@ -2,6 +2,7 @@ package extmem
 
 import (
 	"fmt"
+	"io"
 	"path/filepath"
 	"sort"
 
@@ -9,7 +10,9 @@ import (
 	"xarch/internal/keys"
 )
 
-// SortStats reports the work of one external sort (§6.2).
+// SortStats reports the work of one sort (§6.2). A document that fits
+// Config.Budget is sorted in memory as one run and no run file is
+// written: Runs is 1.
 type SortStats struct {
 	Runs        int // sorted runs formed
 	RunTokens   int // total tokens across runs (stem duplication included)
@@ -36,6 +39,9 @@ type stemInfo struct {
 
 // runFormer builds bounded-memory sorted runs from the internal token
 // stream, attaching composite key values read from the §6.1 key files.
+// On the in-memory path (keysAtClose) the decomposer feeds it directly
+// and sets each keyed node's key as the node closes; the whole document
+// is one partial tree, written once by writeRun.
 type runFormer struct {
 	fs     fsio.FS
 	dict   *dictionary
@@ -44,8 +50,9 @@ type runFormer struct {
 	dir    string
 	prefix string
 
-	keyReaders map[string]*rawReader
-	openKeys   func(pattern string) (*rawReader, error)
+	keyReaders  map[string]*rawReader
+	openKeys    func(pattern string) (*rawReader, error)
+	keysAtClose bool
 
 	runs       []string
 	used       int
@@ -108,7 +115,10 @@ func (rf *runFormer) feed(t token) error {
 
 	// Inside frontier content, tokens are copied verbatim. At item
 	// boundaries (depth 1) the partial tree may be flushed mid-content;
-	// the run merge concatenates the parts back in run order.
+	// the run merge concatenates the parts back in run order. Never
+	// between the frontier node's own attributes, though: the run merge
+	// keeps only the first run's attributes of a node, so an attribute
+	// opening a later run's part would be dropped.
 	if rf.inFrontier > 0 {
 		top.content = append(top.content, t)
 		switch t.op {
@@ -123,7 +133,7 @@ func (rf *runFormer) feed(t token) error {
 				return rf.closeNode()
 			}
 		}
-		if rf.inFrontier == 1 && rf.used >= rf.budget {
+		if rf.inFrontier == 1 && t.op != tokAttr && rf.used >= rf.budget {
 			return rf.flushRun(rf.stack)
 		}
 		return nil
@@ -143,11 +153,13 @@ func (rf *runFormer) feed(t token) error {
 			if k == nil {
 				return fmt.Errorf("extmem: unkeyed element %s above the frontier", pathString(rf.path))
 			}
-			rec, err := rf.nextKey(k.Pattern())
-			if err != nil {
-				return fmt.Errorf("extmem: key file for %s: %w", k.Pattern(), err)
+			if !rf.keysAtClose {
+				rec, err := rf.nextKey(k.Pattern())
+				if err != nil {
+					return fmt.Errorf("extmem: key file for %s: %w", k.Pattern(), err)
+				}
+				n.key = rec
 			}
-			n.key = rec
 		}
 		if top == nil {
 			if rf.root != nil {
@@ -214,11 +226,7 @@ func (rf *runFormer) flushRun(openStack []*pnode) error {
 	if err != nil {
 		return fmt.Errorf("extmem: create run: %w", err)
 	}
-	tw := newTokenWriter(f)
-	rf.writeSorted(tw, rf.root)
-	err = tw.flush()
-	tw.release()
-	if err != nil {
+	if err := rf.writeRun(f); err != nil {
 		f.Close()
 		return err
 	}
@@ -251,6 +259,14 @@ func (rf *runFormer) flushRun(openStack []*pnode) error {
 	}
 	rf.stack = newStack
 	return nil
+}
+
+// writeRun writes the current partial tree to w as one sorted run.
+func (rf *runFormer) writeRun(w io.Writer) error {
+	tw := newTokenWriter(w)
+	defer tw.release()
+	rf.writeSorted(tw, rf.root)
+	return tw.flush()
 }
 
 // writeSorted emits a pnode tree with keyed children sorted by label.
@@ -359,12 +375,6 @@ func (m *runMerger) mergeNodes(cursors []*tokenReader) error {
 		opens[i] = t
 	}
 	m.out.writeToken(opens[0])
-
-	name, err := m.dict.name(opens[0].tag)
-	if err != nil {
-		return err
-	}
-	_ = name
 
 	// Attributes: emit the first cursor's, drain the others'.
 	first := true

@@ -7,7 +7,10 @@
 //     streaming realization of Annotate Keys (§4.1).
 //  2. Sort (§6.2): bounded-memory sorted runs over the token stream (keyed
 //     levels sorted by key value; stems duplicated across runs), then a
-//     multi-way merge of the runs into one sorted document.
+//     multi-way merge of the runs into one sorted document. A parsed
+//     document within the memory budget skips the token, key and run
+//     files: it is decomposed into one partial tree and sorted in memory
+//     as a single run.
 //  3. Merge (§6.3): a single streaming pass merges the sorted archive and
 //     the sorted version by the Nested Merge rules.
 //
@@ -18,9 +21,8 @@ package extmem
 
 import (
 	"bufio"
-	"encoding/binary"
-	"fmt"
 	"io"
+	"math"
 	"strings"
 	"sync"
 
@@ -278,25 +280,66 @@ func (tr *tokenReader) release() {
 }
 
 func (tr *tokenReader) varint() uint64 {
-	v, err := binary.ReadUvarint(tr.r)
-	if err != nil {
-		tr.fail(err)
-		return 0
+	var v uint64
+	for shift := uint(0); ; shift += 7 {
+		b, err := tr.r.ReadByte()
+		if err != nil {
+			tr.failMid(err)
+			return 0
+		}
+		if shift == 63 && b > 1 {
+			tr.fail(corruptf("varint overflows 64 bits"))
+			return 0
+		}
+		v |= uint64(b&0x7f) << shift
+		if b < 0x80 {
+			return v
+		}
 	}
-	return v
 }
 
+// str reads one length-prefixed string. The prefix comes from the
+// stream and is trusted no further than the bytes actually there: a
+// string that fits the read buffer is copied out of it in one
+// allocation, a longer one grows only as its bytes arrive, and a prefix
+// that overruns the stream is corruption.
 func (tr *tokenReader) str() string {
 	n := tr.varint()
-	if tr.err != nil {
+	if tr.err != nil || tr.done {
 		return ""
 	}
-	buf := make([]byte, n)
-	if _, err := io.ReadFull(tr.r, buf); err != nil {
-		tr.fail(err)
-		return ""
+	if n <= uint64(tr.r.Size()) {
+		b, err := tr.r.Peek(int(n))
+		if err != nil {
+			tr.failMid(err)
+			return ""
+		}
+		s := string(b)
+		tr.r.Discard(len(b))
+		return s
 	}
-	return string(buf)
+	var sb strings.Builder
+	for rem := n; rem > 0; {
+		b, err := tr.r.Peek(int(min(rem, uint64(tr.r.Size()))))
+		if err != nil {
+			tr.failMid(err)
+			return ""
+		}
+		sb.Write(b)
+		tr.r.Discard(len(b))
+		rem -= uint64(len(b))
+	}
+	return sb.String()
+}
+
+// failMid reports a failed read inside a token. A stream ends only
+// between tokens (readOp), so running out here — a truncated token, or
+// a length prefix longer than the bytes left — is corruption.
+func (tr *tokenReader) failMid(err error) {
+	if err == io.EOF || err == io.ErrUnexpectedEOF {
+		err = corruptf("token stream ends inside a token")
+	}
+	tr.fail(err)
 }
 
 func (tr *tokenReader) fail(err error) {
@@ -342,7 +385,7 @@ func (tr *tokenReader) dictKey() *tkey {
 		return nil
 	}
 	if id >= uint64(len(tr.dict.keys)) {
-		tr.fail(fmt.Errorf("extmem: dangling key id %d (dictionary has %d)", id, len(tr.dict.keys)))
+		tr.fail(corruptf("dangling key id %d (dictionary has %d)", id, len(tr.dict.keys)))
 		return nil
 	}
 	return tr.dict.key(int(id))
@@ -356,7 +399,7 @@ func (tr *tokenReader) dictTime() (string, *intervals.Set) {
 		return "", nil
 	}
 	if id >= uint64(len(tr.dict.times)) {
-		tr.fail(fmt.Errorf("extmem: dangling timestamp id %d (dictionary has %d)", id, len(tr.dict.times)))
+		tr.fail(corruptf("dangling timestamp id %d (dictionary has %d)", id, len(tr.dict.times)))
 		return "", nil
 	}
 	set, err := tr.dict.timeSet(int(id))
@@ -374,7 +417,7 @@ func (tr *tokenReader) dictValue() string {
 		return ""
 	}
 	if id >= uint64(len(tr.dict.values)) {
-		tr.fail(fmt.Errorf("extmem: dangling value id %d (dictionary has %d)", id, len(tr.dict.values)))
+		tr.fail(corruptf("dangling value id %d (dictionary has %d)", id, len(tr.dict.values)))
 		return ""
 	}
 	return tr.dict.values[id]
@@ -397,7 +440,7 @@ func (tr *tokenReader) next() {
 			t.tag = int(tr.varint())
 			flags, err := tr.r.ReadByte()
 			if err != nil {
-				tr.fail(err)
+				tr.failMid(err)
 				return
 			}
 			if flags&flagHasKey != 0 {
@@ -415,7 +458,7 @@ func (tr *tokenReader) next() {
 		case tokTSOpen:
 			t.data, t.time = tr.dictTime()
 		default:
-			tr.fail(fmt.Errorf("extmem: unknown opcode %#x", op))
+			tr.fail(corruptf("unknown opcode %#x", op))
 			return
 		}
 		if tr.err == nil && !tr.done {
@@ -428,13 +471,13 @@ func (tr *tokenReader) next() {
 		t.tag = int(tr.varint())
 		flags, err := tr.r.ReadByte()
 		if err != nil {
-			tr.fail(err)
+			tr.failMid(err)
 			return
 		}
 		if flags&flagHasKey != 0 {
 			k := &tkey{}
 			n := tr.varint()
-			for i := uint64(0); i < n; i++ {
+			for i := uint64(0); i < n && !tr.done; i++ {
 				k.paths = append(k.paths, tr.str())
 				k.canon = append(k.canon, tr.str())
 			}
@@ -452,7 +495,7 @@ func (tr *tokenReader) next() {
 	case tokTSOpen:
 		t.data = tr.str()
 	default:
-		tr.fail(fmt.Errorf("extmem: unknown opcode %#x", op))
+		tr.fail(corruptf("unknown opcode %#x", op))
 		return
 	}
 	if tr.err == nil && !tr.done {
@@ -466,8 +509,8 @@ func (tr *tokenReader) skipStr() {
 	if tr.err != nil || tr.done {
 		return
 	}
-	if _, err := tr.r.Discard(int(n)); err != nil {
-		tr.fail(err)
+	if _, err := tr.r.Discard(int(min(n, math.MaxInt))); err != nil {
+		tr.failMid(err)
 	}
 }
 
@@ -479,7 +522,7 @@ func (tr *tokenReader) skipStr() {
 // nothing.
 func (tr *tokenReader) discardSubtree() error {
 	if tr.done {
-		return fmt.Errorf("extmem: truncated subtree")
+		return corruptf("truncated subtree")
 	}
 	depth := 1
 	// The lookahead token is already decoded; account for it first.
@@ -504,7 +547,7 @@ func (tr *tokenReader) discardSubtree() error {
 				tr.varint() // tag id
 				flags, err := tr.r.ReadByte()
 				if err != nil {
-					tr.fail(err)
+					tr.failMid(err)
 					break
 				}
 				if flags&flagHasKey != 0 {
@@ -524,7 +567,7 @@ func (tr *tokenReader) discardSubtree() error {
 				depth--
 			case tokTSClose:
 			default:
-				tr.fail(fmt.Errorf("extmem: unknown opcode %#x", op))
+				tr.fail(corruptf("unknown opcode %#x", op))
 			}
 			continue
 		}
@@ -534,7 +577,7 @@ func (tr *tokenReader) discardSubtree() error {
 			tr.varint() // tag id
 			flags, err := tr.r.ReadByte()
 			if err != nil {
-				tr.fail(err)
+				tr.failMid(err)
 				break
 			}
 			if flags&flagHasKey != 0 {
@@ -555,14 +598,14 @@ func (tr *tokenReader) discardSubtree() error {
 			depth--
 		case tokTSClose:
 		default:
-			tr.fail(fmt.Errorf("extmem: unknown opcode %#x", op))
+			tr.fail(corruptf("unknown opcode %#x", op))
 		}
 	}
 	if tr.err != nil {
 		return tr.err
 	}
 	if depth > 0 {
-		return fmt.Errorf("extmem: truncated subtree")
+		return corruptf("truncated subtree")
 	}
 	tr.next() // re-prime the lookahead
 	return nil

@@ -25,15 +25,48 @@ type Key struct {
 	Implied bool
 
 	// nodePath and pattern cache Context/Target and its absolute
-	// rendering; Spec.Normalize fills them so lookups never allocate.
-	nodePath Path
-	pattern  string
+	// rendering; pathNames and pathOrder cache the rendered key paths in
+	// ascending order and their indexes into KeyPaths. Spec.Normalize
+	// fills them so lookups and key records never allocate.
+	nodePath  Path
+	pattern   string
+	pathNames []string
+	pathOrder []int
 }
 
-// compile caches the key's node path and pattern string.
+// compile caches the key's node path, pattern string and sorted key-path
+// names.
 func (k *Key) compile() {
 	k.nodePath = k.Context.Concat(k.Target)
 	k.pattern = k.nodePath.Absolute()
+	k.pathNames, k.pathOrder = sortKeyPaths(k.KeyPaths)
+}
+
+func sortKeyPaths(kps []Path) (names []string, order []int) {
+	order = make([]int, len(kps))
+	for i := range order {
+		order[i] = i
+	}
+	sort.SliceStable(order, func(a, b int) bool {
+		return kps[order[a]].String() < kps[order[b]].String()
+	})
+	names = make([]string, len(kps))
+	for i, j := range order {
+		names[i] = kps[j].String()
+	}
+	return names, order
+}
+
+// SortedKeyPaths returns the key paths rendered as strings in ascending
+// order — the order in which a composite key value lists its parts
+// (§4.2) — and, for each, its index into KeyPaths. For a key of a
+// normalized Spec both slices are computed once and shared: callers must
+// not modify them.
+func (k *Key) SortedKeyPaths() (names []string, order []int) {
+	if k.nodePath != nil {
+		return k.pathNames, k.pathOrder
+	}
+	return sortKeyPaths(k.KeyPaths)
 }
 
 // NodePath returns Context/Target, the keyed path this key defines. For a

@@ -176,7 +176,9 @@ func WithValidation(on bool) Option {
 
 // WithMemoryBudget caps the memory of the external sort's partial trees,
 // in tokens (§6). External engine only; small budgets force many sorted
-// runs. The default is 1<<20.
+// runs. A document added as a tree (Add, AddBatch, AddReader with
+// validation on) that fits the budget is sorted wholly in memory,
+// without scratch files. The default is 1<<20.
 func WithMemoryBudget(tokens int) Option {
 	return func(c *config) { c.budget = tokens }
 }
@@ -213,8 +215,9 @@ func WithCompactionBudget(bytes int) Option {
 }
 
 // WithIngestShards sets how many run-former workers the external
-// engine's ingest fans out to, splitting top-level subtrees across
-// cores. 1 disables sharding; the default (0) uses min(4, GOMAXPROCS).
+// engine's external sort fans out to, splitting top-level subtrees
+// across cores; a document sorted in memory (see WithMemoryBudget) uses
+// one. 1 disables sharding; the default (0) uses min(4, GOMAXPROCS).
 // External engine only.
 func WithIngestShards(n int) Option {
 	return func(c *config) { c.shards = n }

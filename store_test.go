@@ -234,9 +234,12 @@ func TestEngineParityHandBuilt(t *testing.T) {
 }
 
 // TestExtStoreFrontEndsSameBytes archives the same releases through both
-// decomposer front ends — AddReader with validation off streams the XML
-// tokens, Add walks the parsed tree — and requires every archive file to
-// come out byte-identical.
+// decomposer front ends and requires every archive file to come out
+// byte-identical. AddReader with validation off streams the XML tokens
+// and always takes the external sort (token, key and run files); Add
+// walks the parsed tree, which the in-memory sort takes when the tree
+// fits the memory budget. The spill rows set the tree side's budget
+// below a document's token count, so both sides take the external path.
 func TestExtStoreFrontEndsSameBytes(t *testing.T) {
 	t.Run("omim", func(t *testing.T) {
 		g := datagen.NewOMIM(datagen.OMIMConfig{Seed: 81, Records: 60,
@@ -246,6 +249,14 @@ func TestExtStoreFrontEndsSameBytes(t *testing.T) {
 			texts = append(texts, g.Next().IndentedXML())
 		}
 		frontEndsSameBytes(t, datagen.OMIMSpec(), texts)
+	})
+	t.Run("xmark", func(t *testing.T) {
+		g := datagen.NewXMark(datagen.XMarkConfig{Seed: 41, Items: 25, People: 15,
+			Categories: 8, OpenAucts: 10, ClosedAucts: 6})
+		doc := g.Document()
+		texts := []string{doc.IndentedXML(), g.RandomChanges(doc, 0.1).IndentedXML(),
+			g.KeyModChanges(doc, 0.1).IndentedXML()}
+		frontEndsSameBytes(t, datagen.XMarkSpec(), texts)
 	})
 	// Markup the two front ends must read alike: attributes in any order,
 	// namespace declarations and prefixes, comments and CDATA splitting
@@ -262,37 +273,79 @@ func TestExtStoreFrontEndsSameBytes(t *testing.T) {
 	})
 }
 
-// frontEndsSameBytes archives texts through the stream front end and, parsed,
-// through the tree front end, then compares the two archive directories.
+// frontEndsSameBytes archives texts through the stream front end one by
+// one and, parsed, through the tree front end, then compares the two
+// archive directories. It runs once per row: the tree side in memory or
+// spilling, one shard or four, compression off or on, one document per
+// AddBatch or three.
 func frontEndsSameBytes(t *testing.T, spec *KeySpec, texts []string) {
+	rows := []struct {
+		name       string
+		treeBudget int // 0: the default, which every document here fits
+		shards     int
+		compress   bool
+		batch      int
+	}{
+		{"in-memory/shards4", 0, 4, false, 1},
+		{"in-memory/shards1-compressed-batch3", 0, 1, true, 3},
+		{"spill/shards4", 16, 4, false, 1},
+		{"spill/shards1-compressed-batch3", 16, 1, true, 3},
+	}
+	for _, row := range rows {
+		t.Run(row.name, func(t *testing.T) {
+			opts := []Option{WithSegmentTargetSize(4 << 10), WithIngestShards(row.shards),
+				WithSegmentCompression(row.compress)}
+			treeOpts := opts
+			if row.treeBudget > 0 {
+				treeOpts = append(treeOpts[:len(treeOpts):len(treeOpts)], WithMemoryBudget(row.treeBudget))
+			}
+			streamDir, treeDir := t.TempDir(), t.TempDir()
+			stream, err := OpenStore(streamDir, spec, append(opts, WithMemoryBudget(1<<10), WithValidation(false))...)
+			if err != nil {
+				t.Fatal(err)
+			}
+			tree, err := OpenStore(treeDir, spec, treeOpts...)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, text := range texts {
+				if err := stream.AddReader(strings.NewReader(text)); err != nil {
+					t.Fatal(err)
+				}
+			}
+			for i := 0; i < len(texts); i += row.batch {
+				var docs []*Document
+				for _, text := range texts[i:min(i+row.batch, len(texts))] {
+					doc, err := ParseXMLString(text)
+					if err != nil {
+						t.Fatal(err)
+					}
+					docs = append(docs, doc)
+				}
+				res, err := tree.AddBatch(docs)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for _, r := range res {
+					if r.Err != nil {
+						t.Fatal(r.Err)
+					}
+				}
+			}
+			for _, s := range []*ExtStore{stream, tree} {
+				if err := s.Close(); err != nil {
+					t.Fatal(err)
+				}
+			}
+			compareArchiveDirs(t, streamDir, treeDir)
+		})
+	}
+}
+
+// compareArchiveDirs requires the stream side's and the tree side's
+// archive directories to hold the same files, byte for byte.
+func compareArchiveDirs(t *testing.T, streamDir, treeDir string) {
 	t.Helper()
-	opts := []Option{WithMemoryBudget(1 << 10), WithSegmentTargetSize(4 << 10)}
-	streamDir, treeDir := t.TempDir(), t.TempDir()
-	stream, err := OpenStore(streamDir, spec, append(opts, WithValidation(false))...)
-	if err != nil {
-		t.Fatal(err)
-	}
-	tree, err := OpenStore(treeDir, spec, opts...)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, text := range texts {
-		if err := stream.AddReader(strings.NewReader(text)); err != nil {
-			t.Fatal(err)
-		}
-		doc, err := ParseXMLString(text)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := tree.Add(doc); err != nil {
-			t.Fatal(err)
-		}
-	}
-	for _, s := range []*ExtStore{stream, tree} {
-		if err := s.Close(); err != nil {
-			t.Fatal(err)
-		}
-	}
 	files := func(dir string) map[string][]byte {
 		ents, err := os.ReadDir(dir)
 		if err != nil {
